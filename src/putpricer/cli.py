@@ -9,18 +9,21 @@ failure, 2 bad input, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, hpm_series, validation
 from .config import ExperimentConfig
-from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact
+from .exact_pricing import (
+    basket_put_array,
+    basket_put_exact,
+    bs_put,
+    bs_put_array,
+    quanto_put_array,
+    quanto_put_exact,
+)
 from .surface import PriceSurface
-from .transforms import to_dimensionless
 
 FIGURE_CONTRACT = {1: "single", 2: "single", 3: "basket", 4: "basket",
                    5: "quanto", 6: "quanto"}
@@ -97,10 +100,6 @@ def _load_config(args, contract):
     )
 
 
-def _thread_count(config):
-    return config.threads if config.threads > 0 else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # pricing dispatch
 # ---------------------------------------------------------------------------
@@ -116,13 +115,16 @@ def _price_single(config, **overrides):
     return hpm_series.price_single_hpm2(spec, config.order), exact
 
 
+def _basket_variant(config):
+    return "literal" if config.method == "basket-literal" else "generalized"
+
+
 def _price_basket(config, **overrides):
     spec = config.basket_spec(**overrides)
     exact = basket_put_exact(spec)
     if config.method == "exact":
         return exact, exact
-    variant = "literal" if config.method == "basket-literal" else "generalized"
-    return hpm_series.price_basket_hpm(spec, config.order, variant), exact
+    return hpm_series.price_basket_hpm(spec, config.order, _basket_variant(config)), exact
 
 
 def _price_quanto(config, **overrides):
@@ -136,31 +138,6 @@ def _price_quanto(config, **overrides):
 _PRICERS = {"single": _price_single, "basket": _price_basket, "quanto": _price_quanto}
 
 
-def _single_columns(config, spot):
-    """(exact, hpm1, hpm2) for one spot, including the S = 0 limits."""
-    params = config.single
-    if spot > 0.0:
-        spec = config.vanilla_spec(spot=spot)
-        return (
-            bs_put(spec),
-            hpm_series.price_single_hpm1(spec),
-            hpm_series.price_single_hpm2(spec, config.order),
-        )
-    t_rem = params["maturity"] - params["valuation_time"]
-    strike = params["strike"]
-    if t_rem == 0.0:
-        return strike, strike, strike
-    exact = strike * math.exp(-params["rate"] * t_rem)
-    rc = to_dimensionless(config.vanilla_spec(spot=strike))
-    naive = strike * math.exp(-rc.k * rc.tau)
-    if config.order % 2 != 0:
-        raise ValueError(
-            "the odd-order series is unbounded at spot 0; use an even order or "
-            "start the grid above 0"
-        )
-    return exact, naive, 0.0   # even-order series diverges negative and clamps
-
-
 def _axis(config, key, default_start, default_stop, default_points, name):
     axis_cfg = config.grid.get(key) or {}
     start = axis_cfg.get("start", default_start)
@@ -169,13 +146,6 @@ def _axis(config, key, default_start, default_stop, default_points, name):
     if points < 2 or stop <= start:
         raise ValueError(f"{name}: need at least 2 points and stop > start")
     return np.linspace(start, stop, int(points))
-
-
-def _parallel_rows(worker, indices, threads):
-    if threads <= 1:
-        return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +173,28 @@ def _metadata(config, figure_id=None, extra=None):
 
 
 def figure_surface(figure_id, config):
-    """Build the data behind one of the six standard figures."""
-    threads = _thread_count(config)
+    """Build the data behind one of the six standard figures, one array call per series."""
     if figure_id in (1, 2):
         spots = _axis(config, "axis1", 0.0, 100.0, 201, "spot axis")
+        spec = config.vanilla_spec()
         if figure_id == 1:
-            rows = _parallel_rows(
-                lambda i: _single_columns(config, float(spots[i])),
-                range(len(spots)), threads,
-            )
-            exact, hpm1, hpm2 = (np.array(col) for col in zip(*rows))
             return PriceSurface(
                 axis_names=("S",), axes=(spots,),
                 value_names=("exact", "hpm1", "hpm2"),
-                values=(exact, hpm1, hpm2),
+                values=(
+                    bs_put_array(spec, spot=spots),
+                    hpm_series.price_single_hpm1_array(spec, spot=spots),
+                    hpm_series.price_single_hpm2_array(spec, config.order, spot=spots),
+                ),
                 metadata=_metadata(config, 1, {"methods": "exact,hpm1,hpm2"}),
             )
-        maturity = config.single["maturity"]
-        times = _axis(config, "axis2", 0.0, maturity, 51, "time axis")
-
-        def row(i):
-            out = np.empty(len(times))
-            for j, t in enumerate(times):
-                cfg_t = {**config.single, "valuation_time": float(t)}
-                exact, _, hpm2 = _single_columns(
-                    _clone_with(config, single=cfg_t), float(spots[i])
-                )
-                out[j] = hpm2 - exact
-            return out
-
-        grid_rows = _parallel_rows(row, range(len(spots)), threads)
+        times = _axis(config, "axis2", 0.0, spec.maturity, 51, "time axis")
+        grid = {"spot": spots[:, None], "valuation_time": times}
+        error = (hpm_series.price_single_hpm2_array(spec, config.order, **grid)
+                 - bs_put_array(spec, **grid))
         return PriceSurface(
             axis_names=("S", "t"), axes=(spots, times),
-            value_names=("error",), values=(np.vstack(grid_rows),),
+            value_names=("error",), values=(error,),
             metadata=_metadata(config, 2, {"error": "hpm2 - exact"}),
         )
 
@@ -244,46 +203,27 @@ def figure_surface(figure_id, config):
     is_error = figure_id in (4, 6)
 
     if config.contract == "basket":
-        variant = "literal" if config.method == "basket-literal" else "generalized"
-
-        def cell(s1, s2):
-            spec = config.basket_spec(spots=[s1, s2])
-            exact = basket_put_exact(spec)
-            if not is_error:
-                return exact
-            return hpm_series.price_basket_hpm(spec, config.order, variant) - exact
+        spec = config.basket_spec()
+        g1, g2 = np.meshgrid(s1_axis, s2_axis, indexing="ij")
+        spots = np.stack([g1, g2], axis=-1)
+        values = basket_put_array(spec, spots)
+        if is_error:
+            values = hpm_series.price_basket_hpm_array(
+                spec, config.order, _basket_variant(config), spots) - values
     else:
-        def cell(s1, s2):
-            spec = config.quanto_spec(s1=s1, s2=s2)
-            exact = quanto_put_exact(spec)
-            if not is_error:
-                return exact
-            return hpm_series.price_quanto_hpm(spec, config.order) - exact
+        spec = config.quanto_spec()
+        grid = {"s1": s1_axis[:, None], "s2": s2_axis[None, :]}
+        values = quanto_put_array(spec, **grid)
+        if is_error:
+            values = hpm_series.price_quanto_hpm_array(spec, config.order, **grid) - values
 
-    def row(i):
-        return np.array([cell(float(s1_axis[i]), float(s2)) for s2 in s2_axis])
-
-    grid_rows = _parallel_rows(row, range(len(s1_axis)), threads)
     name = "error" if is_error else "price"
     extra = {"error": "series - exact"} if is_error else {"method": "exact"}
     return PriceSurface(
         axis_names=("S1", "S2"), axes=(s1_axis, s2_axis),
-        value_names=(name,), values=(np.vstack(grid_rows),),
+        value_names=(name,), values=(values,),
         metadata=_metadata(config, figure_id, extra),
     )
-
-
-def _clone_with(config, **section_updates):
-    clone = ExperimentConfig(
-        contract=config.contract, method=config.method, order=config.order,
-        threads=config.threads, single=dict(config.single),
-        basket={k: (list(v) if isinstance(v, list) else v)
-                for k, v in config.basket.items()},
-        quanto=dict(config.quanto), grid=dict(config.grid),
-    )
-    for name, params in section_updates.items():
-        setattr(clone, name, params)
-    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +247,11 @@ def _sweep_overrides(config, axis_name, value):
 
 
 def grid_surface(config, axis1, axis2=None):
-    """Sweep the configured method over one or two scalar parameters."""
+    """Sweep the configured method over one or two scalar parameters, point by point."""
     name1, values1 = axis1
-    threads = _thread_count(config)
     pricer = _PRICERS[config.contract]
     if axis2 is None:
-        def point(i):
-            value, exact = pricer(config, **_sweep_overrides(config, name1, float(values1[i])))
-            return value, exact
-
-        rows = _parallel_rows(point, range(len(values1)), threads)
+        rows = [pricer(config, **_sweep_overrides(config, name1, float(v))) for v in values1]
         price, exact = (np.array(col) for col in zip(*rows))
         values = (price,) if config.method == "exact" else (price, exact, price - exact)
         names = ("price",) if config.method == "exact" else ("price", "exact", "error")
@@ -326,19 +261,15 @@ def grid_surface(config, axis1, axis2=None):
         )
 
     name2, values2 = axis2
-
-    def row(i):
-        over1 = _sweep_overrides(config, name1, float(values1[i]))
-        out = np.empty(len(values2))
+    prices = np.empty((len(values1), len(values2)))
+    for i, v1 in enumerate(values1):
+        over1 = _sweep_overrides(config, name1, float(v1))
         for j, v2 in enumerate(values2):
             over = {**over1, **_sweep_overrides(config, name2, float(v2))}
-            out[j], _ = pricer(config, **over)
-        return out
-
-    grid_rows = _parallel_rows(row, range(len(values1)), threads)
+            prices[i, j], _ = pricer(config, **over)
     return PriceSurface(
         axis_names=(name1, name2), axes=(values1, values2),
-        value_names=("price",), values=(np.vstack(grid_rows),),
+        value_names=("price",), values=(prices,),
         metadata=_metadata(config, extra={"method": config.method}),
     )
 
@@ -434,7 +365,7 @@ def build_parser():
     p_fig.add_argument("--order", type=int)
     p_fig.add_argument("--points", type=int, help="points on the first axis")
     p_fig.add_argument("--points2", type=int, help="points on the second axis")
-    p_fig.add_argument("--threads", type=int)
+    p_fig.add_argument("--threads", type=int, help="accepted and ignored")
     _add_contract_flags(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 
@@ -451,7 +382,7 @@ def build_parser():
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--method", choices=("exact", "hpm1", "hpm2", "basket-literal"))
     p_grid.add_argument("--order", type=int)
-    p_grid.add_argument("--threads", type=int)
+    p_grid.add_argument("--threads", type=int, help="accepted and ignored")
     p_grid.add_argument("--config", help="JSON config file")
     _add_contract_flags(p_grid)
     p_grid.set_defaults(func=cmd_grid)

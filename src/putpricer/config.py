@@ -55,7 +55,7 @@ class ExperimentConfig:
     contract: str = "single"
     method: str = "exact"
     order: int = 6
-    threads: int = 0          # 0 means hardware parallelism
+    threads: int = 0          # accepted and ignored; kept so older files still load
     single: dict = field(default_factory=lambda: dict(DEFAULT_SINGLE))
     basket: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_BASKET))
     quanto: dict = field(default_factory=lambda: dict(DEFAULT_QUANTO))

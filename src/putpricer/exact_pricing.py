@@ -19,64 +19,85 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
+    _field,
+    _libm_each,
+    _log_moneyness,
+    _time_remaining,
+    geometric_mean,
     reduce_basket,
     reduce_quanto,
 )
 
 
-def _clamp_tiny_negative(value: float, scale: float) -> float:
+def _clamp_tiny_negative(value, scale):
     # floating-point cancellation in two-term differences; anything more
     # negative than rounding noise is a genuine bug and passes through
-    if -1e-16 * scale < value < 0.0:
-        return 0.0
+    negative = np.less(value, 0.0)
+    if not negative.any():
+        return value
+    return np.where(negative & (-1e-16 * scale < value), 0.0, value)
+
+
+def bs_put_array(spec: VanillaOptionSpec, spot=None, valuation_time=None):
+    """European put over broadcastable arrays of spot and valuation time.
+
+    Fields not given come from `spec`.  Spot 0 gives the limit E e^{-r(T-t)};
+    at expiry the contractual payoff applies.
+    """
+    spot = _field("spot", spot, spec.spot, allow_zero=True)
+    t = _time_remaining(spec, valuation_time)
+    expired = t == 0.0
+    any_expired = bool(expired.any())
+    if any_expired:
+        t = np.where(expired, 1.0, t)   # any positive time; the payoff replaces it
+    vol_sqrt_t = spec.vol * np.sqrt(t)
+    d1 = (
+        _log_moneyness(spot, spec.strike)
+        + (spec.rate + 0.5 * spec.vol * spec.vol) * t
+    ) / vol_sqrt_t
+    d2 = d1 - vol_sqrt_t
+    value = spec.strike * _libm_each(math.exp, -spec.rate * t) * normal_cdf(-d2) - (
+        spot * normal_cdf(-d1)
+    )
+    value = _clamp_tiny_negative(value, spec.strike)
+    if any_expired:
+        value = np.where(expired, np.maximum(spec.strike - spot, 0.0), value)
     return value
 
 
 def bs_put(spec: VanillaOptionSpec) -> float:
     """European put price; the contractual payoff at expiry."""
-    t_rem = spec.time_remaining
-    if t_rem == 0.0:
-        return max(spec.strike - spec.spot, 0.0)
-    vol_sqrt_t = spec.vol * math.sqrt(t_rem)
-    d1 = (
-        math.log(spec.spot / spec.strike)
-        + (spec.rate + 0.5 * spec.vol * spec.vol) * t_rem
-    ) / vol_sqrt_t
-    d2 = d1 - vol_sqrt_t
-    value = spec.strike * math.exp(-spec.rate * t_rem) * normal_cdf(-d2) - (
-        spec.spot * normal_cdf(-d1)
-    )
-    return _clamp_tiny_negative(value, spec.strike)
+    return float(bs_put_array(spec))
 
 
 def bs_call_from_parity(spec: VanillaOptionSpec) -> float:
     """European call via parity, C = P + S - E exp(-r (T-t))."""
     t_rem = spec.time_remaining
     value = bs_put(spec) + spec.spot - spec.strike * math.exp(-spec.rate * t_rem)
-    return _clamp_tiny_negative(value, spec.strike)
+    return float(_clamp_tiny_negative(value, spec.strike))
 
 
-def basket_put_exact(spec: BasketSpec) -> float:
-    """Exact geometric-basket put for one or two assets.
+def basket_put_array(spec: BasketSpec, spots=None):
+    """Exact geometric-basket put over spot vectors along the last axis of `spots`.
 
     P = E e^{-r(T-t)} N(-d2h) - e^{-qh(T-t)} prod S_i^alpha_i N(-d1h).
-    General n is served through `reduced_exact_u`; the closed form here is
-    stated for n <= 2.
+    Fields other than the spots come from `spec`.  General n is served
+    through `reduced_exact_u`; the closed form here is stated for n <= 2.
     """
     if spec.n not in (1, 2):
         raise ValueError(
             f"closed-form basket pricer covers n in (1, 2), got n={spec.n}"
         )
-    geo = float(np.prod(spec.spots ** spec.weights))
+    geo = geometric_mean(spec, spots)
     t_rem = spec.time_remaining
     if t_rem == 0.0:
-        return max(spec.strike - geo, 0.0)
+        return np.maximum(spec.strike - geo, 0.0)
     red = reduce_basket(spec)
     if red.sigma_hat <= 0.0:
         raise ValueError("degenerate basket volatility: sigma_hat must be positive")
     vol_sqrt_t = red.sigma_hat * math.sqrt(t_rem)
     d1 = (
-        math.log(geo / spec.strike)
+        _log_moneyness(geo, spec.strike)
         + (spec.rate - red.q_hat + 0.5 * red.sigma_hat**2) * t_rem
     ) / vol_sqrt_t
     d2 = d1 - vol_sqrt_t
@@ -86,27 +107,39 @@ def basket_put_exact(spec: BasketSpec) -> float:
     return _clamp_tiny_negative(value, spec.strike)
 
 
-def quanto_put_exact(spec: QuantoSpec) -> float:
-    """Exact quanto put in market variables.
+def basket_put_exact(spec: BasketSpec) -> float:
+    """Exact geometric-basket put of the spec's spots; see `basket_put_array`."""
+    return float(basket_put_array(spec))
+
+
+def quanto_put_array(spec: QuantoSpec, s1=None, s2=None):
+    """Exact quanto put over broadcastable arrays of s1 and s2, in market variables.
 
     P = E S2 e^{-rh(T-t)} N(-d1) - S1 S2 e^{(qh-rh)(T-t)} N(-d2) with
     d1 = [ln(S1/E) + (qh - sh^2/2)(T-t)] / (sh sqrt(T-t)) and d2 the same
     with +sh^2/2.  Note this d1/d2 labeling is opposite to the vanilla
     convention; the finite-difference oracle adjudicates the sign choices.
+    Fields not given come from `spec`.
     """
+    s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
     t_rem = spec.time_remaining
     if t_rem == 0.0:
-        return spec.s2 * max(spec.strike - spec.s1, 0.0)
+        return s2 * np.maximum(spec.strike - s1, 0.0)
     red = reduce_quanto(spec)
     sigma_hat = math.sqrt(red.sigma_hat_sq)
     vol_sqrt_t = sigma_hat * math.sqrt(t_rem)
-    log_m = math.log(spec.s1 / spec.strike)
+    log_m = _log_moneyness(s1, spec.strike)
     d1 = (log_m + (red.q_hat - 0.5 * red.sigma_hat_sq) * t_rem) / vol_sqrt_t
     d2 = (log_m + (red.q_hat + 0.5 * red.sigma_hat_sq) * t_rem) / vol_sqrt_t
-    value = spec.strike * spec.s2 * math.exp(-red.r_hat * t_rem) * normal_cdf(-d1) - (
-        spec.s1 * spec.s2 * math.exp((red.q_hat - red.r_hat) * t_rem) * normal_cdf(-d2)
+    value = spec.strike * s2 * math.exp(-red.r_hat * t_rem) * normal_cdf(-d1) - (
+        s1 * s2 * math.exp((red.q_hat - red.r_hat) * t_rem) * normal_cdf(-d2)
     )
-    return _clamp_tiny_negative(value, spec.strike * spec.s2)
+    return _clamp_tiny_negative(value, spec.strike * s2)
+
+
+def quanto_put_exact(spec: QuantoSpec) -> float:
+    """Exact quanto put of the spec's prices; see `quanto_put_array`."""
+    return float(quanto_put_array(spec))
 
 
 def reduced_exact_u(y, tau, params: GeneralizedReducedParams):

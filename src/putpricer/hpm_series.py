@@ -36,10 +36,14 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
+    _field,
+    _log_moneyness,
+    basket_coordinate,
     basket_reduced_params,
+    geometric_mean,
     reduce_basket,
     reduce_quanto,
-    to_dimensionless,
+    to_dimensionless_arrays,
 )
 
 MAX_ORDER = 6  # retained terms f_0 .. f_5
@@ -235,8 +239,8 @@ def _check_term_args(n, value, name):
     return arr
 
 
-def _scalar_like(out, ref):
-    if np.isscalar(ref) or getattr(ref, "ndim", 1) == 0:
+def _scalar_like(out, *refs):
+    if all(np.isscalar(ref) or getattr(ref, "ndim", 1) == 0 for ref in refs):
         return float(out if np.ndim(out) == 0 else out[0])
     return out
 
@@ -297,24 +301,35 @@ def _check_order(order):
 def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_ORDER):
     """Smoothed series value v(y, tau) = sqrt(tau) sum_{n<order} f_n(y/sqrt(tau)) tau^{n/2}.
 
-    Returns the raw (unclamped) partial sum; price-level callers clamp.
-    At tau = 0 the payoff max(1 - e^y, 0) applies directly.
+    `y` and `tau` broadcast against each other.  Returns the raw (unclamped)
+    partial sum; price-level callers clamp.  Where tau = 0 the payoff
+    max(1 - e^y, 0) applies directly.
     """
     _check_order(order)
-    if tau < 0:
-        raise ValueError("hpm_reduced_sum: tau must be nonnegative")
     y_arr = np.asarray(y, dtype=float)
-    if tau == 0.0:
-        out = np.maximum(1.0 - np.exp(y_arr), 0.0)
-        return _scalar_like(out, y)
-    w = math.sqrt(tau)
+    tau_arr = np.asarray(tau, dtype=float)
+    if (tau_arr < 0).any():
+        raise ValueError("hpm_reduced_sum: tau must be nonnegative")
+    expired = tau_arr == 0.0
+    any_expired = bool(expired.any())
+    if any_expired:
+        payoff = np.maximum(1.0 - np.exp(y_arr), 0.0)
+        if expired.all():
+            out = np.broadcast_to(payoff, np.broadcast(y_arr, tau_arr).shape).copy()
+            return _scalar_like(out, y, tau)
+        # any finite point stands in where the payoff replaces the series
+        y_arr = np.where(expired, 0.0, y_arr)
+        tau_arr = np.where(expired, 1.0, tau_arr)
+    w = np.sqrt(tau_arr)
     z = y_arr / w
     total = np.zeros_like(z)
     w_pow = w
     for n in range(order):
         total = total + phi_term(n, z, params) * w_pow
-        w_pow *= w
-    return _scalar_like(total, y)
+        w_pow = w_pow * w
+    if any_expired:
+        total = np.where(expired, payoff, total)
+    return _scalar_like(total, y, tau)
 
 
 def hpm_basket_literal_sum(xi, tau, red: BasketReduction, rate, order: int = MAX_ORDER):
@@ -341,56 +356,99 @@ def hpm_basket_literal_sum(xi, tau, red: BasketReduction, rate, order: int = MAX
 # ---------------------------------------------------------------------------
 
 
+def price_single_hpm1_array(spec: VanillaOptionSpec, spot=None, valuation_time=None):
+    """Naive-series put price K max(e^{-k tau} - S/K, 0) over arrays of spot and valuation time.
+
+    Fields not given come from `spec`; spot 0 is allowed.
+    """
+    x, tau, k = to_dimensionless_arrays(spec, spot, valuation_time)
+    return spec.strike * hpm1_reduced(x, tau, k)
+
+
 def price_single_hpm1(spec: VanillaOptionSpec) -> float:
     """Naive-series put price K max(e^{-k tau} - S/K, 0)."""
-    rc = to_dimensionless(spec)
-    return spec.strike * hpm1_reduced(rc.x, rc.tau, rc.k)
+    return float(price_single_hpm1_array(spec))
+
+
+def price_single_hpm2_array(spec: VanillaOptionSpec, order: int = MAX_ORDER,
+                            spot=None, valuation_time=None):
+    """Smoothed-series put price, clamped to be nonnegative, over arrays of spot and valuation time.
+
+    Fields not given come from `spec`.  At spot 0 before expiry the
+    even-order series tends to -inf and clamps to 0; the odd-order one is
+    unbounded and raises.
+    """
+    _check_order(order)
+    x, tau, k = to_dimensionless_arrays(spec, spot, valuation_time)
+    at_zero = np.isneginf(x) & (tau > 0.0)
+    any_zero = bool(at_zero.any())
+    if any_zero:
+        if order % 2 != 0:
+            raise ValueError(
+                "the odd-order series is unbounded at spot 0; use an even order or "
+                "start the grid above 0"
+            )
+        x = np.where(at_zero, 0.0, x)
+    v = hpm_reduced_sum(x, tau, GeneralizedReducedParams(k1=k, k2=k), order)
+    price = np.maximum(spec.strike * v, 0.0)
+    return np.where(at_zero, 0.0, price) if any_zero else price
 
 
 def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER) -> float:
     """Smoothed-series put price, clamped to be nonnegative."""
-    rc = to_dimensionless(spec)
-    params = GeneralizedReducedParams(k1=rc.k, k2=rc.k)
-    v = hpm_reduced_sum(rc.x, rc.tau, params, order)
-    return max(spec.strike * v, 0.0)
+    return float(price_single_hpm2_array(spec, order))
 
 
-def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER,
-                     variant: str = "generalized") -> float:
-    """Series price of a geometric basket put.
+def price_basket_hpm_array(spec: BasketSpec, order: int = MAX_ORDER,
+                           variant: str = "generalized", spots=None):
+    """Series price of a geometric basket put over spot vectors along the last axis of `spots`.
 
     `generalized` routes through the dimensionless (k1, k2) reduction;
     `literal` evaluates the legacy basket terms on their own coordinates.
+    Fields other than the spots come from `spec`.
     """
     if variant not in ("generalized", "literal"):
         raise ValueError(f"variant must be 'generalized' or 'literal', got {variant!r}")
     _check_order(order)
-    geo = float(np.prod(spec.spots ** spec.weights))
     if spec.time_remaining == 0.0:
-        return max(spec.strike - geo, 0.0)
+        return np.maximum(spec.strike - geometric_mean(spec, spots), 0.0)
     red = reduce_basket(spec)
     tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
+    xi = basket_coordinate(spec, spots)
     if variant == "generalized":
         params = basket_reduced_params(red, spec.rate)
-        v = hpm_reduced_sum(red.xi, tau, params, order)
+        v = hpm_reduced_sum(xi, tau, params, order)
     else:
-        v = hpm_basket_literal_sum(red.xi, tau, red, spec.rate, order)
-    return max(spec.strike * v, 0.0)
+        v = hpm_basket_literal_sum(xi, tau, red, spec.rate, order)
+    return np.maximum(spec.strike * v, 0.0)
+
+
+def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER,
+                     variant: str = "generalized") -> float:
+    """Series price of a geometric basket put; see `price_basket_hpm_array`."""
+    return float(price_basket_hpm_array(spec, order, variant))
+
+
+def price_quanto_hpm_array(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None):
+    """Series price of a quanto put over broadcastable arrays of s1 and s2.
+
+    The reduced strike E/S2 is taken at valuation time, so the pipeline is
+    deterministic; accuracy is judged against the exact formula.  Fields
+    not given come from `spec`.
+    """
+    _check_order(order)
+    s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
+    if spec.time_remaining == 0.0:
+        return s2 * np.maximum(spec.strike - s1, 0.0)
+    red = reduce_quanto(spec)
+    params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
+    y = _log_moneyness(s1, spec.strike)
+    tau = 0.5 * red.sigma_hat_sq * spec.time_remaining
+    v = hpm_reduced_sum(y, tau, params, order)
+    strike_reduced = spec.strike / s2
+    return np.maximum(s2 * s2 * strike_reduced * v, 0.0)
 
 
 def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER) -> float:
-    """Series price of a quanto put.
-
-    The reduced strike E/S2 is taken at valuation time, so the pipeline is
-    deterministic; accuracy is judged against the exact formula.
-    """
-    _check_order(order)
-    if spec.time_remaining == 0.0:
-        return spec.s2 * max(spec.strike - spec.s1, 0.0)
-    red = reduce_quanto(spec)
-    params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
-    y = math.log(spec.s1 / spec.strike)
-    tau = 0.5 * red.sigma_hat_sq * spec.time_remaining
-    v = hpm_reduced_sum(y, tau, params, order)
-    strike_reduced = spec.strike / spec.s2
-    return max(spec.s2 * spec.s2 * strike_reduced * v, 0.0)
+    """Series price of a quanto put; see `price_quanto_hpm_array`."""
+    return float(price_quanto_hpm_array(spec, order))

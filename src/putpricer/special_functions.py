@@ -153,14 +153,18 @@ def erfc(x):
     arr = _as_array(x, "erfc")
     out = np.empty_like(arr)
     inf = np.isinf(arr)
-    out[inf] = np.where(arr[inf] > 0, 0.0, 2.0)
+    if inf.any():
+        out[inf] = np.where(arr[inf] > 0, 0.0, 2.0)
     fin = ~inf
     a = arr[fin]
     sub = np.empty_like(a)
     neg = a < 0
-    sub[neg] = 2.0 - _erfc_nonneg(-a[neg])
+    # skipping an empty branch saves most of the cost of a one-element call
+    if neg.any():
+        sub[neg] = 2.0 - _erfc_nonneg(-a[neg])
     pos = ~neg
-    sub[pos] = _erfc_nonneg(a[pos])
+    if pos.any():
+        sub[pos] = _erfc_nonneg(a[pos])
     out[fin] = sub
     return _restore(out, x)
 
@@ -175,7 +179,8 @@ def erfcx(x):
     arr = _as_array(x, "erfcx")
     out = np.empty_like(arr)
     inf = np.isinf(arr)
-    out[inf] = np.where(arr[inf] > 0, 0.0, np.inf)
+    if inf.any():
+        out[inf] = np.where(arr[inf] > 0, 0.0, np.inf)
     fin = ~inf
     a = arr[fin]
     sub = np.empty_like(a)
@@ -185,7 +190,8 @@ def erfcx(x):
         with np.errstate(over="ignore"):
             sub[neg] = 2.0 * np.exp(an * an) - _erfcx_nonneg(-an)
     pos = ~neg
-    sub[pos] = _erfcx_nonneg(a[pos])
+    if pos.any():
+        sub[pos] = _erfcx_nonneg(a[pos])
     out[fin] = sub
     return _restore(out, x)
 

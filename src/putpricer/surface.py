@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
 @dataclass
 class PriceSurface:
     """Values over one axis (columns per method) or two axes (one value)."""
@@ -49,20 +45,19 @@ class PriceSurface:
                 raise ValueError(f"value {name!r} contains non-finite entries")
 
     def write_csv(self, path) -> None:
+        lines = [f"# {key}: {self.metadata[key]}" for key in sorted(self.metadata)]
+        lines.append(",".join(list(self.axis_names) + list(self.value_names)))
+        if len(self.axes) == 1:
+            columns = [self.axes[0], *self.values]
+        else:
+            grid = np.meshgrid(*self.axes, indexing="ij")
+            columns = [g.ravel() for g in grid] + [v.ravel() for v in self.values]
+        # one %-format over the whole table: every row uses the same template
+        row_format = ",".join(["%.11e"] * len(columns))
+        lines.append("\n".join([row_format] * self.n_rows)
+                     % tuple(np.column_stack(columns).ravel().tolist()))
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for key in sorted(self.metadata):
-                handle.write(f"# {key}: {self.metadata[key]}\n")
-            header = ",".join(list(self.axis_names) + list(self.value_names))
-            handle.write(header + "\n")
-            if len(self.axes) == 1:
-                for i, a in enumerate(self.axes[0]):
-                    row = [_fmt(a)] + [_fmt(v[i]) for v in self.values]
-                    handle.write(",".join(row) + "\n")
-            else:
-                for i, a in enumerate(self.axes[0]):
-                    for j, b in enumerate(self.axes[1]):
-                        row = [_fmt(a), _fmt(b)] + [_fmt(v[i, j]) for v in self.values]
-                        handle.write(",".join(row) + "\n")
+            handle.write("\n".join(lines) + "\n")
 
     @property
     def n_rows(self) -> int:

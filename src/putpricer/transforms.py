@@ -229,13 +229,65 @@ class QuantoReduction:
 # ---------------------------------------------------------------------------
 
 
+def _libm_each(fn, values):
+    """A `math` function applied per element, as the scalar formulas apply it.
+
+    numpy's vectorised exp and log can differ from libm's in the last bit,
+    and the figure CSVs are pinned to the bytes of the scalar formulas.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        return np.float64(fn(float(arr)))
+    return np.array([fn(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
+
+
+def _log_or_minus_inf(v):
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _log_moneyness(spot, strike):
+    """ln(S/K) through libm's log; -inf at S = 0, the zero-spot limit."""
+    return _libm_each(_log_or_minus_inf, np.asarray(spot, dtype=float) / strike)
+
+
+def _field(name, values, default, allow_zero=False):
+    """`values` as a checked float array of positive (or nonnegative) prices; `default` if None."""
+    if values is None:
+        return np.asarray(default, dtype=float)[()]
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    if (arr < 0.0).any() if allow_zero else (arr <= 0.0).any():
+        raise ValueError(f"{name} must be {'nonnegative' if allow_zero else 'positive'}")
+    return arr
+
+
+def _time_remaining(spec, valuation_time=None):
+    """T - t for the spec's maturity over an array of valuation times (default: the spec's)."""
+    if valuation_time is None:
+        return np.float64(spec.time_remaining)
+    t_rem = spec.maturity - np.asarray(valuation_time, dtype=float)
+    if not np.isfinite(t_rem).all() or (t_rem < 0.0).any():
+        raise ValueError(f"valuation times must be finite and not exceed maturity {spec.maturity}")
+    return t_rem
+
+
+def to_dimensionless_arrays(spec: VanillaOptionSpec, spot=None, valuation_time=None):
+    """(x, tau, k) of `to_dimensionless` over broadcastable arrays of spot and valuation time.
+
+    Fields not given come from `spec`; spot 0 maps to x = -inf.
+    """
+    return (
+        _log_moneyness(_field("spot", spot, spec.spot, allow_zero=True), spec.strike),
+        0.5 * spec.vol * spec.vol * _time_remaining(spec, valuation_time),
+        2.0 * spec.rate / (spec.vol * spec.vol),
+    )
+
+
 def to_dimensionless(spec: VanillaOptionSpec) -> ReducedCoordinates:
     """Map a vanilla contract to (x, tau, k) = (ln(S/K), sigma^2(T-t)/2, 2r/sigma^2)."""
-    return ReducedCoordinates(
-        x=math.log(spec.spot / spec.strike),
-        tau=0.5 * spec.vol * spec.vol * spec.time_remaining,
-        k=2.0 * spec.rate / (spec.vol * spec.vol),
-    )
+    x, tau, k = to_dimensionless_arrays(spec)
+    return ReducedCoordinates(x=float(x), tau=float(tau), k=k)
 
 
 def from_dimensionless_value(v: float, spec: VanillaOptionSpec) -> float:
@@ -272,8 +324,34 @@ def reduce_basket(spec: BasketSpec) -> BasketReduction:
         np.dot(alpha, spec.dividends + 0.5 * np.diag(spec.covariance))
         - 0.5 * sigma_hat_sq
     )
-    xi = float(np.dot(alpha, np.log(spec.spots / spec.strike)))
+    xi = float(basket_coordinate(spec))
     return BasketReduction(sigma_hat=math.sqrt(sigma_hat_sq), q_hat=q_hat, xi=xi)
+
+
+def _basket_spots(spec: BasketSpec, spots):
+    spots = _field("basket spots", spots, spec.spots)
+    if spots.shape[-1:] != (spec.n,):
+        raise ValueError(f"basket spots need a last axis of {spec.n} assets, got {spots.shape}")
+    return spots
+
+
+def basket_coordinate(spec: BasketSpec, spots=None):
+    """xi = sum alpha_i ln(S_i / K) over spot vectors along the last axis (default: the spec's).
+
+    Summed asset by asset in elementwise operations, so every element has
+    the same bits whatever the shape of `spots`; a BLAS dot fuses
+    multiply-adds differently for one vector than for a matrix of them.
+    """
+    logs = np.log(_basket_spots(spec, spots) / spec.strike)
+    xi = logs[..., 0] * spec.weights[0]
+    for i in range(1, spec.n):
+        xi = xi + logs[..., i] * spec.weights[i]
+    return xi
+
+
+def geometric_mean(spec: BasketSpec, spots=None):
+    """prod S_i^alpha_i over spot vectors along the last axis (default: the spec's)."""
+    return np.prod(_basket_spots(spec, spots) ** spec.weights, axis=-1)
 
 
 def basket_reduced_params(red: BasketReduction, rate: float) -> GeneralizedReducedParams:

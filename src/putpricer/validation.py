@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hpm_series
-from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
+from .exact_pricing import (
+    basket_put_array,
+    basket_put_exact,
+    bs_put,
+    bs_put_array,
+    quanto_put_array,
+    quanto_put_exact,
+    reduced_exact_u,
+)
 from .pde_oracle import GridSpec, cn_solve, fd_residual, richardson_residual
 from .special_functions import erf, normal_cdf
 from .transforms import (
@@ -61,16 +69,16 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _fig3_basket(s1=40.0, s2=40.0):
+def _fig3_basket():
     return BasketSpec(
-        spots=np.array([s1, s2]), weights=np.array([0.5, 0.5]),
+        spots=np.array([40.0, 40.0]), weights=np.array([0.5, 0.5]),
         dividends=np.zeros(2), covariance=np.array(FIG3_COV),
         rate=0.05, strike=40.0, maturity=0.5,
     )
 
 
-def _fig5_quanto(s1=40.0, s2=40.0):
-    return QuantoSpec(s1=s1, s2=s2, **FIG5)
+def _fig5_quanto():
+    return QuantoSpec(s1=40.0, s2=40.0, **FIG5)
 
 
 def _tol(bound, profile, floor=0.0):
@@ -260,18 +268,9 @@ def check_degenerations(profile="default"):
 
 
 def _hpm2_max_error(order, grid):
-    # all spots share (tau, k) at a common valuation time, so the series sum
-    # vectorizes over the whole grid
     atm = VanillaOptionSpec(spot=40.0, **SECTION5)
-    rc = to_dimensionless(atm)
-    params = GeneralizedReducedParams(rc.k, rc.k)
-    x = np.log(np.asarray(grid) / atm.strike)
-    series = np.maximum(
-        atm.strike * hpm_series.hpm_reduced_sum(x, rc.tau, params, order), 0.0
-    )
-    exact = np.array([
-        bs_put(VanillaOptionSpec(spot=float(s), **SECTION5)) for s in grid
-    ])
+    series = hpm_series.price_single_hpm2_array(atm, order, spot=grid)
+    exact = bs_put_array(atm, spot=grid)
     return float(np.abs(series - exact).max())
 
 
@@ -332,18 +331,18 @@ def check_smoothness_contrast(profile="default"):
 
 def check_error_surfaces(profile="default"):
     grid = np.linspace(20.0, 60.0, 41)
-    worst_q = 0.0
-    worst_b = 0.0
-    for s1 in grid:
-        for s2 in grid:
-            qspec = _fig5_quanto(float(s1), float(s2))
-            worst_q = max(worst_q, abs(
-                hpm_series.price_quanto_hpm(qspec, 6) - quanto_put_exact(qspec)
-            ))
-            bspec = _fig3_basket(float(s1), float(s2))
-            worst_b = max(worst_b, abs(
-                hpm_series.price_basket_hpm(bspec, 6) - basket_put_exact(bspec)
-            ))
+    qspec = _fig5_quanto()
+    s1, s2 = grid[:, None], grid[None, :]
+    worst_q = float(np.abs(
+        hpm_series.price_quanto_hpm_array(qspec, 6, s1, s2)
+        - quanto_put_array(qspec, s1, s2)
+    ).max())
+    bspec = _fig3_basket()
+    spots = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    worst_b = float(np.abs(
+        hpm_series.price_basket_hpm_array(bspec, 6, spots=spots)
+        - basket_put_array(bspec, spots)
+    ).max())
     bound_q = 1.05 * EPS2_QUANTO_SURFACE
     bound_b = 1.05 * EPS3_BASKET_SURFACE
     results = [
@@ -355,11 +354,8 @@ def check_error_surfaces(profile="default"):
 
     # exact quanto value rises with the exchange-rate ratio while the
     # per-unit bracket stays positive (in-the-money region)
-    monotone = True
-    s2_grid = np.linspace(20.0, 60.0, 41)
-    for s1 in (20.0, 27.5, 35.0):
-        prices = [quanto_put_exact(_fig5_quanto(s1, float(s2))) for s2 in s2_grid]
-        monotone &= all(b > a for a, b in zip(prices, prices[1:]))
+    prices = quanto_put_array(qspec, np.array([[20.0], [27.5], [35.0]]), s2)
+    monotone = bool((np.diff(prices, axis=1) > 0).all())
     results.append(CheckResult("quanto-s2-monotonicity", float(monotone),
                                "prices strictly increase in S2 for S1 <= 35",
                                monotone))
