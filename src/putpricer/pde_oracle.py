@@ -68,11 +68,14 @@ class PdeSolution:
 
     def to_csv(self, path) -> None:
         """Dump (y, tau, u) triples for debugging."""
+        n_tau, n_y = self.values.shape
+        rows = np.column_stack([
+            np.tile(self.y, n_tau), np.repeat(self.taus, n_y), self.values.ravel(),
+        ])
+        # one %-format over the whole table: every row uses the same template
+        table = "%.12e,%.12e,%.12e\n" * rows.shape[0] % tuple(rows.ravel().tolist())
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("y,tau,u\n")
-            for m, tau in enumerate(self.taus):
-                for j, yj in enumerate(self.y):
-                    handle.write(f"{yj:.12e},{tau:.12e},{self.values[m, j]:.12e}\n")
+            handle.write("y,tau,u\n" + table)
 
 
 def _payoff(y):
@@ -115,31 +118,24 @@ def _thomas_solve(lower, cp, denom, rhs):
     return x
 
 
-def _boundary_functions(boundary, params: GeneralizedReducedParams, y_lo, y_hi):
+def _boundary_values(boundary, params: GeneralizedReducedParams, y_lo, y_hi, taus):
+    """Dirichlet data at every time level: one left and one right list over `taus`."""
     if boundary == "exact":
-        def left(tau):
-            if tau <= 0.0:
-                return float(_payoff(np.asarray(y_lo)))
-            return float(reduced_exact_u(y_lo, tau, params))
-
-        def right(tau):
-            if tau <= 0.0:
-                return float(_payoff(np.asarray(y_hi)))
-            return float(reduced_exact_u(y_hi, tau, params))
-
-        return left, right
+        # the closed form needs tau > 0, so tau = 0 takes the payoff and the
+        # later levels come from one array call per side
+        return tuple(
+            [float(_payoff(np.asarray(edge)))]
+            + reduced_exact_u(edge, taus[1:], params).tolist()
+            for edge in (y_lo, y_hi)
+        )
+    tau_list = taus.tolist()
     if boundary == "asymptote":
         k1, k2 = params.k1, params.k2
-
-        def left(tau):
-            return math.exp(-k2 * tau) - math.exp(y_lo + (k1 - k2) * tau)
-
-        def right(tau):
-            return 0.0
-
-        return left, right
+        left = [math.exp(-k2 * tau) - math.exp(y_lo + (k1 - k2) * tau) for tau in tau_list]
+        return left, [0.0] * len(tau_list)
     if isinstance(boundary, tuple) and len(boundary) == 2:
-        return boundary
+        left_fn, right_fn = boundary
+        return [left_fn(tau) for tau in tau_list], [right_fn(tau) for tau in tau_list]
     raise ValueError(
         "boundary must be 'exact', 'asymptote', or a (left, right) callable pair"
     )
@@ -161,7 +157,8 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
 
     y, h = _shifted_nodes(grid)
     dtau = tau_final / grid.n_steps
-    left_fn, right_fn = _boundary_functions(boundary, params, float(y[0]), float(y[-1]))
+    taus = dtau * np.arange(grid.n_steps + 1)
+    left, right = _boundary_values(boundary, params, float(y[0]), float(y[-1]), taus)
 
     # explicit part of the theta scheme is only stable for dtau below the
     # diffusion limit; flag, do not fail, since theta >= 1/2 has no limit
@@ -188,22 +185,18 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
     values = np.empty((grid.n_steps + 1, grid.ny + 2))
     u = _payoff(y) if initial is None else np.asarray(initial(y), dtype=float)
     u = u.astype(float).copy()
-    u[0] = left_fn(0.0)
-    u[-1] = right_fn(0.0)
+    u[0] = left[0]
+    u[-1] = right[0]
     values[0] = u
-    taus = dtau * np.arange(grid.n_steps + 1)
 
     for step in range(1, grid.n_steps + 1):
-        tau_new = taus[step]
         rhs = ea * u[:-2] + eb * u[1:-1] + ec * u[2:]
-        u_left = left_fn(float(tau_new))
-        u_right = right_fn(float(tau_new))
-        rhs[0] -= lower * u_left
-        rhs[-1] -= upper * u_right
+        rhs[0] -= lower * left[step]
+        rhs[-1] -= upper * right[step]
         interior = _thomas_solve(lower, cp, denom, rhs.tolist())
         u = np.empty(grid.ny + 2)
-        u[0] = u_left
-        u[-1] = u_right
+        u[0] = left[step]
+        u[-1] = right[step]
         u[1:-1] = interior
         values[step] = u
 

@@ -281,10 +281,11 @@ def check_hpm2_accuracy(profile="default"):
     results = [CheckResult("hpm2-error-frozen", measured, f"<= {bound:.6f}",
                            measured <= bound)]
 
-    # order-monotonicity holds on the series' convergence region; on the full
-    # [1, 100] grid the truncated series diverges near S -> 0 and the clamped
-    # odd/even partial sums alternate, so the global max cannot decrease
-    # monotonically (documented diagnostic, see the region check)
+    # order-monotonicity holds where truncation at order 6 is small; on the
+    # full [1, 100] grid the truncation error of orders 1..6 dominates near
+    # S -> 0 (ROADMAP item 3, mpmath table) and the clamped odd/even partial
+    # sums alternate, so the global max cannot decrease monotonically
+    # (documented diagnostic, see the region check)
     region = np.linspace(20.0, 100.0, 81)
     errs_region = [_hpm2_max_error(order, region) for order in range(1, 7)]
     monotone_region = all(b < a for a, b in zip(errs_region, errs_region[1:]))
@@ -367,9 +368,8 @@ def check_error_surfaces(profile="default"):
 # ---------------------------------------------------------------------------
 
 
-def _normal_cdf_quadrature(v):
+def _normal_cdf_quadrature(v, nodes, weights):
     # composite Gauss-Legendre on [0, v]; independent of the erfc route
-    nodes, weights = np.polynomial.legendre.leggauss(64)
     panels = 4
     edges = np.linspace(0.0, v, panels + 1)
     total = 0.0
@@ -390,15 +390,15 @@ def _erf_maclaurin(x, terms=30):
 
 
 def check_special_functions(profile="default"):
-    worst_n = 0.0
-    for v in np.linspace(-8.0, 8.0, 401):
-        worst_n = max(worst_n, abs(normal_cdf(float(v)) - _normal_cdf_quadrature(float(v))))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    vs = np.linspace(-8.0, 8.0, 401)
+    quadrature = [_normal_cdf_quadrature(v, nodes, weights) for v in vs.tolist()]
+    worst_n = float(np.abs(normal_cdf(vs) - quadrature).max())
     # the default bound already sits a few ulps from 0.5; strict cannot go lower
     bound_n = _tol(1e-15, profile, floor=5e-16)
 
-    worst_e = 0.0
-    for x in np.linspace(-1.0, 1.0, 201):
-        worst_e = max(worst_e, abs(erf(float(x)) - _erf_maclaurin(float(x))))
+    xs = np.linspace(-1.0, 1.0, 201)
+    worst_e = float(np.abs(erf(xs) - [_erf_maclaurin(x) for x in xs.tolist()]).max())
     bound_e = _tol(1e-14, profile)
     return [
         CheckResult("normal-cdf-quadrature", worst_n, f"<= {bound_n:.1e}",

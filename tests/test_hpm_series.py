@@ -321,8 +321,8 @@ def test_hpm2_smooth_across_strike():
 
 
 def test_hpm2_order_improves_accuracy_on_convergence_region():
-    # inside the series' convergence region the max error falls strictly
-    # with every added term; closer to S = 0 the truncated series diverges
+    # for S >= 20 the max error falls strictly with every added term; closer
+    # to S = 0 truncation at order 6 dominates (ROADMAP item 3, mpmath table)
     grid = np.linspace(20.0, 100.0, 81)
     max_errs = []
     for order in range(1, 7):

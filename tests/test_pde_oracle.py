@@ -114,6 +114,33 @@ def test_csv_dump(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "y,tau,u"
     assert len(lines) == 1 + 3 * 18  # (n_steps + 1) * (ny + 2)
+    # one formatted line per (tau, y) node, written the slow way
+    expected = "y,tau,u\n" + "".join(
+        f"{yj:.12e},{tau:.12e},{sol.values[m, j]:.12e}\n"
+        for m, tau in enumerate(sol.taus)
+        for j, yj in enumerate(sol.y)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("params", [FIG1_PARAMS, GeneralizedReducedParams(3.0, 4.0)],
+                         ids=["k1-eq-k2", "k1-ne-k2"])
+def test_exact_boundary_equals_scalar_callable_pair(params):
+    # the batched exact boundary must give the same bits as evaluating the
+    # closed form one time level at a time (payoff at tau = 0)
+    grid = GridSpec(ny=32, n_steps=24)
+    sol = cn_solve(params, 0.2, grid)
+
+    def scalar_exact(y_edge):
+        def value(tau):
+            if tau <= 0.0:
+                return float(np.maximum(1.0 - np.exp(y_edge), 0.0))
+            return float(reduced_exact_u(y_edge, tau, params))
+        return value
+
+    pair = (scalar_exact(float(sol.y[0])), scalar_exact(float(sol.y[-1])))
+    reference = cn_solve(params, 0.2, grid, boundary=pair)
+    assert np.array_equal(sol.values, reference.values)
 
 
 # ---------------------------------------------------------------------------
