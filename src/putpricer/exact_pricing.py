@@ -161,12 +161,18 @@ def reduced_exact_u(y, tau, params: GeneralizedReducedParams):
     d2 = y_arr / root + root * (k1 + 1.0) / 2.0
     first = np.exp(-k2 * tau_arr) * normal_cdf(-d1)
     # second term scaled through erfcx when d2 > 0 so e^y * N(-d2) cannot
-    # overflow/underflow pairwise for far-out coordinates
+    # overflow/underflow pairwise for far-out coordinates; each branch is
+    # evaluated only where it applies
     expo = y_arr + (k1 - k2) * tau_arr
-    plain = np.where(d2 <= 0, np.exp(np.where(d2 <= 0, expo, 0.0)) * normal_cdf(-d2), 0.0)
-    scaled_arg = np.where(d2 > 0, expo - 0.5 * d2 * d2, 0.0)
-    scaled = np.where(d2 > 0, 0.5 * np.exp(scaled_arg) * erfcx(d2 / SQRT_TWO), 0.0)
-    out = first - (plain + scaled)
+    second = np.zeros(d2.shape)
+    plain = d2 <= 0
+    if plain.any():
+        second[plain] = np.exp(expo[plain]) * normal_cdf(-d2[plain])
+    scaled = d2 > 0
+    if scaled.any():
+        ds = d2[scaled]
+        second[scaled] = 0.5 * np.exp(expo[scaled] - 0.5 * ds * ds) * erfcx(ds / SQRT_TWO)
+    out = first - second
     if np.isscalar(y) and np.isscalar(tau):
         return float(out)
     return out

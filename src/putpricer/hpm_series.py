@@ -20,7 +20,9 @@ The terms satisfy the recursion
 and are exactly the w-Taylor coefficients of the exact reduced solution;
 both facts are enforced by the test suite.  Right-tail evaluation routes
 through erfcx so the structural cancellation between the Gaussian and
-erfc pieces costs absolute, not relative, accuracy.
+erfc pieces costs absolute, not relative, accuracy.  Only P_n and Q_n
+change with n, so a series sum evaluates G and erfc/erfcx once per point
+on each side of z = 0 and every term reuses them.
 """
 
 from __future__ import annotations
@@ -51,22 +53,49 @@ MAX_ORDER = 6  # retained terms f_0 .. f_5
 _INV_SQRT_PI = 1.0 / SQRT_PI
 
 
-def _combine(p, q, z):
-    """Evaluate p*G(z) + q*(erf(z/2) - 1) stably on both tails."""
-    out = np.empty_like(z)
+def _sides(z):
+    """Split z at 0 and evaluate each side's special functions once.
+
+    Yields (mask, zs, combine) for each side that has points, where
+    combine(p, q) = p G(zs) + q (erf(zs/2) - 1) for polynomials evaluated
+    on zs: through G and erfc(z/2) left of 0, through exp(-z^2/4) and
+    erfcx(z/2) right of it.  Every term of a sum reuses the factors.
+    """
     left = z <= 0.0
     if left.any():
         zl = z[left]
         gauss = np.exp(-0.25 * zl * zl) * _INV_SQRT_PI
-        out[left] = np.asarray(p)[left] * gauss - np.asarray(q)[left] * erfc(0.5 * zl)
+        tail = erfc(0.5 * zl)
+        yield left, zl, lambda p, q: p * gauss - q * tail
     right = ~left
     if right.any():
         zr = z[right]
-        bracket = np.asarray(p)[right] * _INV_SQRT_PI - (
-            np.asarray(q)[right] * erfcx(0.5 * zr)
-        )
-        out[right] = np.exp(-0.25 * zr * zr) * bracket
+        decay = np.exp(-0.25 * zr * zr)
+        scaled = erfcx(0.5 * zr)
+        yield right, zr, lambda p, q: decay * (p * _INV_SQRT_PI - q * scaled)
+
+
+def _term(polys, n, z, *coefs):
+    """f_n(z) of one family, with (P_n, Q_n) = polys(n, zs, *coefs) on each side."""
+    out = np.empty(z.shape)
+    for mask, zs, combine in _sides(z):
+        out[mask] = combine(*polys(n, zs, *coefs))
     return out
+
+
+def _series(polys, z, w, order, *coefs):
+    """sum_{n<order} f_n(z) w^{n+1} of one family, term by term on each side of z = 0."""
+    w = np.broadcast_to(w, z.shape)
+    total = np.empty(z.shape)
+    for mask, zs, combine in _sides(z):
+        ws = w[mask]
+        side = np.zeros_like(zs)
+        w_pow = ws
+        for n in range(order):
+            side = side + combine(*polys(n, zs, *coefs)) * w_pow
+            w_pow = w_pow * ws
+        total[mask] = side
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +261,13 @@ def _check_term_args(n, value, name):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"{name}: term index must be an integer, got {n!r}")
     if not 0 <= n < MAX_ORDER:
-        raise ValueError(f"{name}: unsupported series order {n}; terms stop at 5")
+        raise ValueError(
+            f"{name}: unsupported series order {n}; terms stop at {MAX_ORDER - 1}"
+        )
+    return _check_coordinate(value, name)
+
+
+def _check_coordinate(value, name):
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: coordinate must be finite")
@@ -248,15 +283,13 @@ def _scalar_like(out, *refs):
 def phi_term(n, xi, params: GeneralizedReducedParams):
     """f_n(xi) of the generalized family: the w^n-stripped series factor."""
     z = _check_term_args(n, xi, "phi_term")
-    p, q = _phi_polys(n, z, params.k1, params.k2)
-    return _scalar_like(_combine(p, q, z), xi)
+    return _scalar_like(_term(_phi_polys, n, z, params.k1, params.k2), xi)
 
 
 def single_asset_term(n, z, k):
     """f_n(z) of the single-asset family; equals phi_term at k1 = k2 = k."""
     z_arr = _check_term_args(n, z, "single_asset_term")
-    p, q = _single_polys(n, z_arr, k)
-    return _scalar_like(_combine(p, q, z_arr), z)
+    return _scalar_like(_term(_single_polys, n, z_arr, k), z)
 
 
 def basket_term_literal(n, z, red: BasketReduction, r):
@@ -270,8 +303,7 @@ def basket_term_literal(n, z, red: BasketReduction, r):
     s2 = red.sigma_hat * red.sigma_hat
     if s2 <= 0:
         raise ValueError("basket_term_literal: sigma_hat must be positive")
-    p, q = _basket_polys(n, z_arr, s2, red.q_hat, r)
-    return _scalar_like(_combine(p, q, z_arr), z)
+    return _scalar_like(_term(_basket_polys, n, z_arr, s2, red.q_hat, r), z)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +353,8 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
         y_arr = np.where(expired, 0.0, y_arr)
         tau_arr = np.where(expired, 1.0, tau_arr)
     w = np.sqrt(tau_arr)
-    z = y_arr / w
-    total = np.zeros_like(z)
-    w_pow = w
-    for n in range(order):
-        total = total + phi_term(n, z, params) * w_pow
-        w_pow = w_pow * w
+    z = _check_coordinate(y_arr / w, "hpm_reduced_sum")
+    total = _series(_phi_polys, z, w, order, params.k1, params.k2)
     if any_expired:
         total = np.where(expired, payoff, total)
     return _scalar_like(total, y, tau)
@@ -341,13 +369,12 @@ def hpm_basket_literal_sum(xi, tau, red: BasketReduction, rate, order: int = MAX
     if tau == 0.0:
         out = np.maximum(1.0 - np.exp(xi_arr), 0.0)
         return _scalar_like(out, xi)
+    s2 = red.sigma_hat * red.sigma_hat
+    if s2 <= 0:
+        raise ValueError("hpm_basket_literal_sum: sigma_hat must be positive")
     w = math.sqrt(tau)
-    z = xi_arr / w
-    total = np.zeros_like(z)
-    w_pow = w
-    for n in range(order):
-        total = total + basket_term_literal(n, z, red, rate) * w_pow
-        w_pow *= w
+    z = _check_coordinate(xi_arr / w, "hpm_basket_literal_sum")
+    total = _series(_basket_polys, z, w, order, s2, red.q_hat, rate)
     return _scalar_like(total, xi)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -106,15 +107,17 @@ def _thomas_factor(lower, diag, upper, n):
 
 
 def _thomas_solve(lower, cp, denom, rhs):
-    n = len(rhs)
-    dp = [0.0] * n
-    dp[0] = rhs[0] / denom[0]
-    for i in range(1, n):
-        dp[i] = (rhs[i] - lower * dp[i - 1]) / denom[i]
-    x = [0.0] * n
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+    # forward sweep and back substitution, each one pass over zipped lists
+    prev = rhs[0] / denom[0]
+    dp = [prev]
+    for r, d in islice(zip(rhs, denom), 1, None):
+        prev = (r - lower * prev) / d
+        dp.append(prev)
+    x = [prev]
+    for d, c in islice(zip(reversed(dp), reversed(cp)), 1, None):
+        prev = d - c * prev
+        x.append(prev)
+    x.reverse()
     return x
 
 
@@ -225,7 +228,9 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
     literal basket terms are measured against this recursion.
     """
     if not 0 <= term_index < hpm_series.MAX_ORDER:
-        raise ValueError(f"term_index must lie in [0, 5], got {term_index}")
+        raise ValueError(
+            f"term_index must lie in [0, {hpm_series.MAX_ORDER - 1}], got {term_index}"
+        )
     if w <= 0 or h <= 0:
         raise ValueError("fd_residual needs w > 0 and h > 0")
     z_arr = np.asarray(z, dtype=float)

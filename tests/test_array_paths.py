@@ -22,8 +22,11 @@ from putpricer.exact_pricing import (
     quanto_put_array,
     quanto_put_exact,
 )
+from putpricer.exact_pricing import reduced_exact_u
 from putpricer.hpm_series import hpm_reduced_sum
+from putpricer.special_functions import SQRT_PI, SQRT_TWO, erfc, erfcx, normal_cdf
 from putpricer.transforms import (
+    BasketReduction,
     BasketSpec,
     GeneralizedReducedParams,
     QuantoSpec,
@@ -209,3 +212,196 @@ def test_reduced_sum_rejects_any_negative_tau():
         hpm_reduced_sum(np.zeros(3), np.array([0.1, -1e-12, 0.2]), params)
     with pytest.raises(ValueError, match="nonnegative"):
         hpm_reduced_sum(0.0, -0.1, params)
+
+
+# ---------------------------------------------------------------------------
+# shared special-function passes == the per-term and two-branch forms
+# ---------------------------------------------------------------------------
+
+
+INV_SQRT_PI = 1.0 / SQRT_PI
+
+
+def _old_combine(p, q, z):
+    # the per-term evaluation before G and erfc/erfcx were shared across terms
+    out = np.empty_like(z)
+    left = z <= 0.0
+    if left.any():
+        zl = z[left]
+        gauss = np.exp(-0.25 * zl * zl) * INV_SQRT_PI
+        out[left] = np.asarray(p)[left] * gauss - np.asarray(q)[left] * erfc(0.5 * zl)
+    right = ~left
+    if right.any():
+        zr = z[right]
+        bracket = np.asarray(p)[right] * INV_SQRT_PI - (
+            np.asarray(q)[right] * erfcx(0.5 * zr)
+        )
+        out[right] = np.exp(-0.25 * zr * zr) * bracket
+    return out
+
+
+def _old_phi_term(n, z, params):
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    p, q = hpm_series._phi_polys(n, z, params.k1, params.k2)
+    return _old_combine(p, q, z)
+
+
+def _old_reduced_sum(y, tau, params, order):
+    # sum_n f_n(z) w^{n+1}, one full term evaluation per n
+    y_arr = np.asarray(y, dtype=float)
+    tau_arr = np.asarray(tau, dtype=float)
+    expired = tau_arr == 0.0
+    payoff = np.maximum(1.0 - np.exp(y_arr), 0.0)
+    if expired.all():
+        out = np.broadcast_to(payoff, np.broadcast(y_arr, tau_arr).shape).copy()
+    else:
+        y_arr = np.where(expired, 0.0, y_arr)
+        tau_arr = np.where(expired, 1.0, tau_arr)
+        w = np.sqrt(tau_arr)
+        z = y_arr / w
+        out = np.zeros_like(z)
+        w_pow = w
+        for n in range(order):
+            out = out + _old_phi_term(n, z, params) * w_pow
+            w_pow = w_pow * w
+        if expired.any():
+            out = np.where(expired, payoff, out)
+    if all(np.isscalar(v) or np.ndim(v) == 0 for v in (y, tau)):
+        return float(out if np.ndim(out) == 0 else out[0])
+    return out
+
+
+def _old_reduced_exact_u(y, tau, params):
+    # both branches of the second term over the whole array, one discarded
+    y_arr = np.asarray(y, dtype=float)
+    tau_arr = np.asarray(tau, dtype=float)
+    k1, k2 = params.k1, params.k2
+    root = np.sqrt(2.0 * tau_arr)
+    d1 = y_arr / root + root * (k1 - 1.0) / 2.0
+    d2 = y_arr / root + root * (k1 + 1.0) / 2.0
+    first = np.exp(-k2 * tau_arr) * normal_cdf(-d1)
+    expo = y_arr + (k1 - k2) * tau_arr
+    plain = np.where(d2 <= 0, np.exp(np.where(d2 <= 0, expo, 0.0)) * normal_cdf(-d2), 0.0)
+    scaled_arg = np.where(d2 > 0, expo - 0.5 * d2 * d2, 0.0)
+    scaled = np.where(d2 > 0, 0.5 * np.exp(scaled_arg) * erfcx(d2 / SQRT_TWO), 0.0)
+    out = first - (plain + scaled)
+    if np.isscalar(y) and np.isscalar(tau):
+        return float(out)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+reduced = st.builds(GeneralizedReducedParams, st.floats(-3.0, 6.0), st.floats(-3.0, 6.0))
+
+
+@st.composite
+def coordinates(draw):
+    """y as a float, a 0-d array or a 1-d array, on one side of 0 or on both, near or far out."""
+    side = draw(st.sampled_from(["left", "right", "mixed"]))
+    size = draw(st.integers(1, 6))
+    magnitudes = draw(st.lists(st.floats(1e-9, 3.0) | st.floats(1e-9, 700.0),
+                               min_size=size, max_size=size))
+    signs = {"left": [-1.0] * size, "right": [1.0] * size,
+             "mixed": draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size,
+                                    max_size=size))}[side]
+    y = np.array(signs) * np.array(magnitudes)
+    form = draw(st.sampled_from(["float", "0-d", "array"]))
+    return float(y[0]) if form == "float" else np.array(y[0]) if form == "0-d" else y
+
+
+@st.composite
+def times(draw, y, expired):
+    """tau as a float, a 0-d array, one per y, or a column against y; zeros if `expired`."""
+    value = st.floats(1e-8, 2.0)
+    if expired:
+        value = st.just(0.0) | value
+    form = draw(st.sampled_from(["float", "0-d", "per-y", "column"]))
+    if form in ("float", "0-d"):
+        tau = draw(value)
+        return tau if form == "float" else np.array(tau)
+    if form == "per-y":
+        return np.array(draw(st.lists(value, min_size=np.size(y), max_size=np.size(y))))
+    return np.array(draw(st.lists(value, min_size=1, max_size=3)))[:, None]
+
+
+@given(data=st.data(), params=reduced, order=orders)
+@settings(max_examples=150, deadline=None)
+def test_reduced_sum_matches_per_term_loop(data, params, order):
+    y = data.draw(coordinates())
+    tau = data.draw(times(y, expired=True))
+    assert_same_bits(hpm_reduced_sum(y, tau, params, order),
+                     _old_reduced_sum(y, tau, params, order))
+    if not np.any(np.asarray(tau) == 0.0):
+        z = np.atleast_1d(np.asarray(y) / np.sqrt(tau))
+        assert_same_bits(hpm_series.phi_term(order - 1, z, params),
+                         _old_phi_term(order - 1, z, params))
+
+
+@given(data=st.data(), params=reduced)
+@settings(max_examples=150, deadline=None)
+def test_reduced_exact_matches_two_branch_form(data, params):
+    y = data.draw(coordinates())
+    tau = data.draw(times(y, expired=False))
+    assert_same_bits(reduced_exact_u(y, tau, params), _old_reduced_exact_u(y, tau, params))
+
+
+def test_shared_kernels_cover_every_order_and_both_tails():
+    # deterministic companions of the properties above: d2 and z cross 0,
+    # |y| reaches 700, and some tau are 0
+    y = np.concatenate([np.linspace(-700.0, 700.0, 57), np.linspace(-2.0, 2.0, 41)])
+    tau = np.array([0.0, 1e-6, 0.01, 0.3, 2.0])[:, None]
+    for params in (GeneralizedReducedParams(0.7, 1.3), GeneralizedReducedParams(-2.0, 4.0)):
+        for order in range(1, hpm_series.MAX_ORDER + 1):
+            assert_same_bits(hpm_reduced_sum(y, tau, params, order),
+                             _old_reduced_sum(y, tau, params, order))
+        assert_same_bits(reduced_exact_u(y, tau[1:], params),
+                         _old_reduced_exact_u(y, tau[1:], params))
+    # the literal basket sum shares the same per-side pass
+    red, rate, w = BasketReduction(sigma_hat=0.3, q_hat=0.02, xi=0.0), 0.05, math.sqrt(0.37)
+    z = y / w
+    expected, w_pow = np.zeros_like(z), w
+    for n in range(hpm_series.MAX_ORDER):
+        p, q = hpm_series._basket_polys(n, z, red.sigma_hat * red.sigma_hat, red.q_hat, rate)
+        expected = expected + _old_combine(p, q, z) * w_pow
+        w_pow *= w
+        assert_same_bits(hpm_series.hpm_basket_literal_sum(y, 0.37, red, rate, n + 1), expected)
+
+
+def _counting(monkeypatch, module, names):
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(x, _name=name, _fn=getattr(module, name)):
+            calls[_name].append(np.size(x))
+            return _fn(x)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_reduced_sum_evaluates_each_special_function_once(monkeypatch):
+    calls = _counting(monkeypatch, hpm_series, ("erfc", "erfcx"))
+    y = np.linspace(-3.0, 3.0, 61)   # both sides of z = 0
+    hpm_reduced_sum(y, np.array([0.05, 0.2, 0.8])[:, None], GeneralizedReducedParams(0.7, 1.3),
+                    order=6)
+    assert {name: len(sizes) for name, sizes in calls.items()} == {"erfc": 1, "erfcx": 1}
+    assert sum(calls["erfc"]) + sum(calls["erfcx"]) == 3 * y.size
+
+
+def test_reduced_exact_evaluates_each_branch_only_where_used(monkeypatch):
+    from putpricer import exact_pricing
+
+    calls = _counting(monkeypatch, exact_pricing, ("normal_cdf", "erfcx"))
+    params = GeneralizedReducedParams(0.7, 1.3)
+    y = np.linspace(-3.0, 3.0, 61)
+    tau = 0.4
+    reduced_exact_u(y, tau, params)
+    root = math.sqrt(2.0 * tau)
+    plain = int(np.count_nonzero(y / root + root * (params.k1 + 1.0) / 2.0 <= 0))
+    assert 0 < plain < y.size
+    # N(-d1) everywhere, N(-d2) where d2 <= 0, erfcx where d2 > 0
+    assert calls == {"normal_cdf": [y.size, plain], "erfcx": [y.size - plain]}

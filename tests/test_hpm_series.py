@@ -173,6 +173,18 @@ def test_term_index_validation():
         phi_term(2, float("nan"), params)
 
 
+def test_term_bound_message_follows_max_order(monkeypatch):
+    import putpricer.hpm_series as hpm
+
+    params = GeneralizedReducedParams(1.0, 1.0)
+    with pytest.raises(ValueError, match=rf"terms stop at {MAX_ORDER - 1}$"):
+        phi_term(MAX_ORDER, 0.0, params)
+    # the bound is read from MAX_ORDER, not restated
+    monkeypatch.setattr(hpm, "MAX_ORDER", 4)
+    with pytest.raises(ValueError, match=r"order 4; terms stop at 3$"):
+        single_asset_term(4, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # literal basket family
 # ---------------------------------------------------------------------------

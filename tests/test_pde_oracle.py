@@ -5,7 +5,14 @@ import pytest
 
 from putpricer import hpm_series
 from putpricer.exact_pricing import reduced_exact_u
-from putpricer.pde_oracle import GridSpec, cn_solve, fd_residual, richardson_residual
+from putpricer.pde_oracle import (
+    GridSpec,
+    _thomas_factor,
+    _thomas_solve,
+    cn_solve,
+    fd_residual,
+    richardson_residual,
+)
 from putpricer.transforms import GeneralizedReducedParams, reduce_basket, BasketSpec
 
 FIG1_PARAMS = GeneralizedReducedParams(0.950625998140567, 0.950625998140567)
@@ -143,6 +150,23 @@ def test_exact_boundary_equals_scalar_callable_pair(params):
     assert np.array_equal(sol.values, reference.values)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 800])
+def test_thomas_solve_matches_indexed_sweeps(n):
+    # the zipped sweeps must give the bits of the textbook index loops
+    lower, diag, upper = -0.31, 1.7, -0.36
+    cp, denom = _thomas_factor(lower, diag, upper, n)
+    rhs = np.random.default_rng(n).normal(size=n).tolist()
+    dp = [0.0] * n
+    dp[0] = rhs[0] / denom[0]
+    for i in range(1, n):
+        dp[i] = (rhs[i] - lower * dp[i - 1]) / denom[i]
+    expected = [0.0] * n
+    expected[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        expected[i] = dp[i] - cp[i] * expected[i + 1]
+    assert np.array_equal(_thomas_solve(lower, cp, denom, rhs), expected)
+
+
 # ---------------------------------------------------------------------------
 # recursion residuals
 # ---------------------------------------------------------------------------
@@ -225,3 +249,13 @@ def test_residual_validation():
         fd_residual(6, FIG1_PARAMS, 0.0, 0.3, 0.01)
     with pytest.raises(ValueError, match="w > 0"):
         fd_residual(1, FIG1_PARAMS, 0.0, 0.0, 0.01)
+
+
+def test_residual_term_bound_message_follows_max_order(monkeypatch):
+    bound = hpm_series.MAX_ORDER - 1
+    with pytest.raises(ValueError, match=rf"\[0, {bound}\], got {bound + 1}$"):
+        fd_residual(bound + 1, FIG1_PARAMS, 0.0, 0.3, 0.01)
+    # the bound is read from MAX_ORDER, not restated
+    monkeypatch.setattr(hpm_series, "MAX_ORDER", 4)
+    with pytest.raises(ValueError, match=r"\[0, 3\], got 4$"):
+        fd_residual(4, FIG1_PARAMS, 0.0, 0.3, 0.01)
