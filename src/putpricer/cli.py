@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__, hpm_series, validation
-from .config import ExperimentConfig
+from .config import METHODS, ExperimentConfig
 from .exact_pricing import (
     basket_put_array,
     basket_put_exact,
@@ -115,16 +115,12 @@ def _price_single(config, **overrides):
     return hpm_series.price_single_hpm2(spec, config.order), exact
 
 
-def _basket_variant(config):
-    return "literal" if config.method == "basket-literal" else "generalized"
-
-
 def _price_basket(config, **overrides):
     spec = config.basket_spec(**overrides)
     exact = basket_put_exact(spec)
     if config.method == "exact":
         return exact, exact
-    return hpm_series.price_basket_hpm(spec, config.order, _basket_variant(config)), exact
+    return hpm_series.price_basket_hpm(spec, config.order), exact
 
 
 def _price_quanto(config, **overrides):
@@ -208,8 +204,7 @@ def figure_surface(figure_id, config):
         spots = np.stack([g1, g2], axis=-1)
         values = basket_put_array(spec, spots)
         if is_error:
-            values = hpm_series.price_basket_hpm_array(
-                spec, config.order, _basket_variant(config), spots) - values
+            values = hpm_series.price_basket_hpm_array(spec, config.order, spots) - values
     else:
         spec = config.quanto_spec()
         grid = {"s1": s1_axis[:, None], "s2": s2_axis[None, :]}
@@ -284,7 +279,7 @@ def cmd_price(args):
     value, exact = _PRICERS[config.contract](config)
     print(f"contract:  {config.contract}")
     method = config.method
-    if method in ("hpm2", "basket-literal"):
+    if method == "hpm2":
         method += f" (order {config.order})"
     print(f"method:    {method}")
     params = " ".join(
@@ -351,7 +346,7 @@ def build_parser():
 
     p_price = sub.add_parser("price", help="price a single contract")
     p_price.add_argument("contract", choices=("single", "basket", "quanto"))
-    p_price.add_argument("--method", choices=("exact", "hpm1", "hpm2", "basket-literal"))
+    p_price.add_argument("--method", choices=METHODS)
     p_price.add_argument("--order", type=int)
     p_price.add_argument("--config", help="JSON config file")
     _add_contract_flags(p_price)
@@ -361,7 +356,7 @@ def build_parser():
     p_fig.add_argument("figure", type=int, choices=tuple(range(1, 7)))
     p_fig.add_argument("--out", required=True, help="CSV output path")
     p_fig.add_argument("--config", help="JSON config file")
-    p_fig.add_argument("--method", choices=("exact", "hpm1", "hpm2", "basket-literal"))
+    p_fig.add_argument("--method", choices=METHODS)
     p_fig.add_argument("--order", type=int)
     p_fig.add_argument("--points", type=int, help="points on the first axis")
     p_fig.add_argument("--points2", type=int, help="points on the second axis")
@@ -380,7 +375,7 @@ def build_parser():
     p_grid.add_argument("--stop2", type=float)
     p_grid.add_argument("--points2", type=int)
     p_grid.add_argument("--out", required=True)
-    p_grid.add_argument("--method", choices=("exact", "hpm1", "hpm2", "basket-literal"))
+    p_grid.add_argument("--method", choices=METHODS)
     p_grid.add_argument("--order", type=int)
     p_grid.add_argument("--threads", type=int, help="accepted and ignored")
     p_grid.add_argument("--config", help="JSON config file")

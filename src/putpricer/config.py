@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import hpm_series
 from .transforms import BasketSpec, QuantoSpec, VanillaOptionSpec
 
 CONTRACTS = ("single", "basket", "quanto")
-METHODS = ("exact", "hpm1", "hpm2", "basket-literal")
+METHODS = ("exact", "hpm1", "hpm2")
 
 # which series methods make sense for which contract
 METHODS_BY_CONTRACT = {
     "single": ("exact", "hpm1", "hpm2"),
-    "basket": ("exact", "hpm2", "basket-literal"),
+    "basket": ("exact", "hpm2"),
     "quanto": ("exact", "hpm2"),
 }
 
@@ -70,8 +71,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"method {self.method!r} does not apply to contract {self.contract!r}"
             )
-        if not isinstance(self.order, int) or not 1 <= self.order <= 6:
-            raise ValueError(f"order must be an integer in [1, 6], got {self.order!r}")
+        max_order = hpm_series.MAX_ORDER
+        if not isinstance(self.order, int) or not 1 <= self.order <= max_order:
+            raise ValueError(
+                f"order must be an integer in [1, {max_order}], got {self.order!r}"
+            )
         if not isinstance(self.threads, int) or self.threads < 0:
             raise ValueError(f"threads must be a nonnegative integer, got {self.threads!r}")
         # constructing the specs runs the full domain validation

@@ -1,6 +1,6 @@
 """Closed-form put prices and the generalized reduced-coordinate solution.
 
-The single-asset, two-asset geometric basket and quanto formulas are all
+The single-asset, n-asset geometric basket and quanto formulas are all
 instances of one exact solution of the reduced equation; `reduced_exact_u`
 evaluates that solution directly and the market-level pricers implement the
 familiar formulas in market variables.  Deep tails route through the scaled
@@ -81,13 +81,10 @@ def basket_put_array(spec: BasketSpec, spots=None):
     """Exact geometric-basket put over spot vectors along the last axis of `spots`.
 
     P = E e^{-r(T-t)} N(-d2h) - e^{-qh(T-t)} prod S_i^alpha_i N(-d1h).
-    Fields other than the spots come from `spec`.  General n is served
-    through `reduced_exact_u`; the closed form here is stated for n <= 2.
+    Fields other than the spots come from `spec`.  A geometric basket of
+    lognormal assets is lognormal for every n, so the formula holds for any
+    number of assets.
     """
-    if spec.n not in (1, 2):
-        raise ValueError(
-            f"closed-form basket pricer covers n in (1, 2), got n={spec.n}"
-        )
     geo = geometric_mean(spec, spots)
     t_rem = spec.time_remaining
     if t_rem == 0.0:

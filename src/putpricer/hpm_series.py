@@ -9,9 +9,10 @@ z = +-infinity, and every term has the smooth form
     u_n(z, w) = f_n(z) w^n,   f_n(z) = P_n(z) G(z) + Q_n(z) (erf(z/2) - 1),
 
 with G(z) = exp(-z^2/4)/sqrt(pi) and polynomial P_n, Q_n.  The generalized
-(k1, k2) family is the canonical engine; the single-asset family is its
-k1 = k2 = k specialization, and the literal basket family reproduces a
-legacy variant kept for fidelity diagnostics only.
+(k1, k2) family is the engine every contract prices through (a geometric
+basket and a quanto reduce to it); the single-asset family is its
+k1 = k2 = k specialization, kept in its own grouping as an independent
+side for the specialization identity.
 
 The terms satisfy the recursion
 
@@ -27,13 +28,10 @@ on each side of z = 0 and every term reuses them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .special_functions import SQRT_PI, erfc, erfcx
 from .transforms import (
-    BasketReduction,
     BasketSpec,
     GeneralizedReducedParams,
     QuantoSpec,
@@ -83,8 +81,8 @@ def _term(polys, n, z, *coefs):
     return out
 
 
-def _series(polys, z, w, order, *coefs):
-    """sum_{n<order} f_n(z) w^{n+1} of one family, term by term on each side of z = 0."""
+def _series(z, w, order, k1, k2):
+    """sum_{n<order} f_n(z) w^{n+1} of the (k1, k2) family, term by term on each side of z = 0."""
     w = np.broadcast_to(w, z.shape)
     total = np.empty(z.shape)
     for mask, zs, combine in _sides(z):
@@ -92,7 +90,7 @@ def _series(polys, z, w, order, *coefs):
         side = np.zeros_like(zs)
         w_pow = ws
         for n in range(order):
-            side = side + combine(*polys(n, zs, *coefs)) * w_pow
+            side = side + combine(*_phi_polys(n, zs, k1, k2)) * w_pow
             w_pow = w_pow * ws
         total[mask] = side
     return total
@@ -191,68 +189,6 @@ def _single_polys(n, z, k):
 
 
 # ---------------------------------------------------------------------------
-# literal basket polynomial factors (fidelity variant, diagnostics only)
-# ---------------------------------------------------------------------------
-
-
-def _basket_polys(n, z, s2, q_hat, r):
-    # s2 is the squared effective volatility of the reduction
-    one = np.ones_like(z)
-    z2 = z * z
-    if n == 0:
-        return one, 0.5 * z
-    if n == 1:
-        return 0.5 * z, (s2 * z2 - 4.0 * (q_hat - r)) / (4.0 * s2) / 4.0
-    d = q_hat - r
-    if n == 2:
-        p = (s2 * s2 * (2.0 * z2 - 1.0) - 12.0 * q_hat * (s2 + 2.0 * r)
-             - 12.0 * s2 * r + 12.0 * q_hat * q_hat + 12.0 * r * r) / (s2 * s2) / 12.0
-        q = z * (s2 * z2 - 12.0 * q_hat) / s2 / 12.0
-        return p, q
-    s4 = s2 * s2
-    s6 = s4 * s2
-    if n == 3:
-        p = 2.0 * z * (s6 * z2 - 2.0 * q_hat * (9.0 * s2 - 6.0 * s2 * q_hat
-                                                - 4.0 * q_hat * q_hat)
-                       - 6.0 * r * (s2 + 2.0 * q_hat)
-                       + 12.0 * r * r * (s2 + 2.0 * q_hat)
-                       - s6 - 8.0 * r**3) / s6 / 48.0
-        q = (s4 * z2 * z2 - 24.0 * s2 * q_hat * z2 + 48.0 * q_hat
-             - 48.0 * r * r) / s4 / 48.0
-        return p, q
-    z4 = z2 * z2
-    s8 = s4 * s4
-    if n == 4:
-        p = (
-            8.0 * s8 * z4
-            - (11.0 * s8 + 40.0 * s6 * (7.0 * q_hat + r) - 120.0 * s4 * d * d
-               - 160.0 * s2 * d**3 - 80.0 * d**4) * z2
-            + 6.0 * s8 + 80.0 * s6 * (q_hat + r)
-            + 240.0 * s4 * (3.0 * q_hat * q_hat + 2.0 * q_hat * r + 3.0 * r * r)
-            - 960.0 * s2 * d * d * (q_hat + r) - 160.0 * d**4
-        ) / s8 / 960.0
-        q = 4.0 * z * (s4 * z4 - 40.0 * s2 * q_hat * z2
-                       + 240.0 * q_hat * q_hat) / s4 / 960.0
-        return p, q
-    s10 = s8 * s2
-    if n == 5:
-        p = (
-            8.0 * s10 * z4 * z
-            - (13.0 * s10 + 30.0 * s8 * (15.0 * q_hat + r) - 120.0 * s6 * d * d
-               - 240.0 * s4 * d**3 - 240.0 * s2 * d**4 - 96.0 * d**5) * z2 * z
-            + (18.0 * s10 + 60.0 * s8 * (5.0 * q_hat + 3.0 * r)
-               + 720.0 * s6 * (5.0 * q_hat * q_hat + 2.0 * q_hat * r + r * r)
-               - 480.0 * s4 * d * d * (7.0 * q_hat + 5.0 * r)
-               - 480.0 * s2 * d**3 * (5.0 * q_hat + 3.0 * r) - 576.0 * d**5) * z
-        ) / s10 / 5760.0
-        q = 4.0 * (s6 * z4 * z2 - 60.0 * s4 * q_hat * z4
-                   + 720.0 * s2 * q_hat * q_hat * z2
-                   - 960.0 * q_hat**3 + 960.0 * r**3) / s6 / 5760.0
-        return p, q
-    raise AssertionError(f"unreachable order {n}")
-
-
-# ---------------------------------------------------------------------------
 # term evaluators
 # ---------------------------------------------------------------------------
 
@@ -290,20 +226,6 @@ def single_asset_term(n, z, k):
     """f_n(z) of the single-asset family; equals phi_term at k1 = k2 = k."""
     z_arr = _check_term_args(n, z, "single_asset_term")
     return _scalar_like(_term(_single_polys, n, z_arr, k), z)
-
-
-def basket_term_literal(n, z, red: BasketReduction, r):
-    """f_n(z) of the literal basket family.
-
-    Kept for fidelity diagnostics; its coordinate scaling is internally
-    inconsistent with the generalized recursion, so it is excluded from the
-    default pricing path.
-    """
-    z_arr = _check_term_args(n, z, "basket_term_literal")
-    s2 = red.sigma_hat * red.sigma_hat
-    if s2 <= 0:
-        raise ValueError("basket_term_literal: sigma_hat must be positive")
-    return _scalar_like(_term(_basket_polys, n, z_arr, s2, red.q_hat, r), z)
 
 
 # ---------------------------------------------------------------------------
@@ -354,28 +276,10 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
         tau_arr = np.where(expired, 1.0, tau_arr)
     w = np.sqrt(tau_arr)
     z = _check_coordinate(y_arr / w, "hpm_reduced_sum")
-    total = _series(_phi_polys, z, w, order, params.k1, params.k2)
+    total = _series(z, w, order, params.k1, params.k2)
     if any_expired:
         total = np.where(expired, payoff, total)
     return _scalar_like(total, y, tau)
-
-
-def hpm_basket_literal_sum(xi, tau, red: BasketReduction, rate, order: int = MAX_ORDER):
-    """Literal-variant analogue of hpm_reduced_sum on its own coordinates."""
-    _check_order(order)
-    if tau < 0:
-        raise ValueError("hpm_basket_literal_sum: tau must be nonnegative")
-    xi_arr = np.asarray(xi, dtype=float)
-    if tau == 0.0:
-        out = np.maximum(1.0 - np.exp(xi_arr), 0.0)
-        return _scalar_like(out, xi)
-    s2 = red.sigma_hat * red.sigma_hat
-    if s2 <= 0:
-        raise ValueError("hpm_basket_literal_sum: sigma_hat must be positive")
-    w = math.sqrt(tau)
-    z = _check_coordinate(xi_arr / w, "hpm_basket_literal_sum")
-    total = _series(_basket_polys, z, w, order, s2, red.q_hat, rate)
-    return _scalar_like(total, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -426,34 +330,26 @@ def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER) -> float:
     return float(price_single_hpm2_array(spec, order))
 
 
-def price_basket_hpm_array(spec: BasketSpec, order: int = MAX_ORDER,
-                           variant: str = "generalized", spots=None):
+def price_basket_hpm_array(spec: BasketSpec, order: int = MAX_ORDER, spots=None):
     """Series price of a geometric basket put over spot vectors along the last axis of `spots`.
 
-    `generalized` routes through the dimensionless (k1, k2) reduction;
-    `literal` evaluates the legacy basket terms on their own coordinates.
-    Fields other than the spots come from `spec`.
+    The basket reduces to the dimensionless (k1, k2) equation in the
+    coordinate xi = sum alpha_i ln(S_i/K).  Fields other than the spots
+    come from `spec`.
     """
-    if variant not in ("generalized", "literal"):
-        raise ValueError(f"variant must be 'generalized' or 'literal', got {variant!r}")
     _check_order(order)
     if spec.time_remaining == 0.0:
         return np.maximum(spec.strike - geometric_mean(spec, spots), 0.0)
     red = reduce_basket(spec)
     tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
     xi = basket_coordinate(spec, spots)
-    if variant == "generalized":
-        params = basket_reduced_params(red, spec.rate)
-        v = hpm_reduced_sum(xi, tau, params, order)
-    else:
-        v = hpm_basket_literal_sum(xi, tau, red, spec.rate, order)
+    v = hpm_reduced_sum(xi, tau, basket_reduced_params(red, spec.rate), order)
     return np.maximum(spec.strike * v, 0.0)
 
 
-def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER,
-                     variant: str = "generalized") -> float:
+def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER) -> float:
     """Series price of a geometric basket put; see `price_basket_hpm_array`."""
-    return float(price_basket_hpm_array(spec, order, variant))
+    return float(price_basket_hpm_array(spec, order))
 
 
 def price_quanto_hpm_array(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None):

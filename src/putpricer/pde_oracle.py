@@ -217,15 +217,13 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
 
 
 def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
-                h: float, terms=None):
+                h: float):
     """Central-difference estimate of the recursion residual R_n(z, w).
 
     R_n = 2 d^2 u_n/dz^2 + z du_n/dz - d(w u_n)/dw
           + 2(k1-1) w du_{n-1}/dz - 2 k2 w^2 u_{n-2},
     with u_n = f_n(z) w^n.  Vanishes analytically for every generalized
-    term; the estimate is O(h^2).  Accepts scalar or array z.  `terms`
-    swaps in another family f_m(z) (signature (m, z)), which is how the
-    literal basket terms are measured against this recursion.
+    term; the estimate is O(h^2).  Accepts scalar or array z.
     """
     if not 0 <= term_index < hpm_series.MAX_ORDER:
         raise ValueError(
@@ -235,12 +233,9 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
         raise ValueError("fd_residual needs w > 0 and h > 0")
     z_arr = np.asarray(z, dtype=float)
     n = term_index
-    if terms is None:
-        def terms(m, zz):
-            return hpm_series.phi_term(m, zz, params)
 
     def u(m, zz, ww):
-        return terms(m, zz) * ww**m
+        return hpm_series.phi_term(m, zz, params) * ww**m
 
     f_c = u(n, z_arr, w)
     f_p = u(n, z_arr + h, w)
@@ -261,15 +256,15 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
 
 
 def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,
-                        w: float, h: float = 0.02, terms=None):
+                        w: float, h: float = 0.02):
     """Two-stage Richardson extrapolation of fd_residual (h, h/2, h/4).
 
     Eliminates the h^2 and h^4 error terms, leaving O(h^6) + roundoff, so an
     analytically zero residual extrapolates to ~1e-11 or below.
     """
-    r1 = fd_residual(term_index, params, z, w, h, terms)
-    r2 = fd_residual(term_index, params, z, w, 0.5 * h, terms)
-    r4 = fd_residual(term_index, params, z, w, 0.25 * h, terms)
+    r1 = fd_residual(term_index, params, z, w, h)
+    r2 = fd_residual(term_index, params, z, w, 0.5 * h)
+    r4 = fd_residual(term_index, params, z, w, 0.25 * h)
     a1 = (4.0 * r2 - r1) / 3.0
     a2 = (4.0 * r4 - r2) / 3.0
     return (16.0 * a2 - a1) / 15.0

@@ -469,7 +469,7 @@ def check_tail_asymptotics(profile="default"):
 
     bound_left = _tol(1e-8, profile)
     bound_right = _tol(1e-12, profile)
-    results = [
+    return [
         CheckResult("tail-asymptote-left", worst_left, f"<= {bound_left:.1e}",
                     worst_left <= bound_left),
         CheckResult("tail-decay-right", worst_right, f"<= {bound_right:.1e}",
@@ -481,37 +481,6 @@ def check_tail_asymptotics(profile="default"):
                     "recorded (nonzero by construction for n >= 1)",
                     worst_monomial <= bound_left, severity="diagnostic"),
     ]
-
-    red = reduce_basket(_fig3_basket())
-    worst_lit_right = 0.0
-    for n in range(hpm_series.MAX_ORDER):
-        worst_lit_right = max(worst_lit_right, abs(
-            hpm_series.basket_term_literal(n, 12.0, red, 0.05)
-        ))
-    results.append(CheckResult("literal-tail-decay-right", worst_lit_right,
-                               f"<= {bound_right:.1e}",
-                               worst_lit_right <= bound_right))
-
-    f0_gap = abs(
-        hpm_series.basket_term_literal(0, -12.0, red, 0.05)
-        - _deep_itm_asymptote(0, -12.0, 1.0, 1.0)
-    )
-    results.append(CheckResult("literal-tail-left-n0", f0_gap,
-                               f"<= {bound_left:.1e}", f0_gap <= bound_left))
-
-    # for n >= 1 the literal family has no consistent deep-tail asymptote
-    # (its normalization divides by powers of sigma_hat); measured gap
-    # against the leading monomial is recorded as a diagnostic only
-    worst_lit = 0.0
-    for n in range(1, hpm_series.MAX_ORDER):
-        monomial = -((-12.0) ** (n + 1)) / math.factorial(n + 1)
-        worst_lit = max(worst_lit, abs(
-            hpm_series.basket_term_literal(n, -12.0, red, 0.05) - monomial
-        ))
-    results.append(CheckResult("literal-tail-left-gap", worst_lit,
-                               "recorded (normalization mismatch)",
-                               False, severity="diagnostic"))
-    return results
 
 
 # ---------------------------------------------------------------------------

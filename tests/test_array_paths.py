@@ -26,7 +26,6 @@ from putpricer.exact_pricing import reduced_exact_u
 from putpricer.hpm_series import hpm_reduced_sum
 from putpricer.special_functions import SQRT_PI, SQRT_TWO, erfc, erfcx, normal_cdf
 from putpricer.transforms import (
-    BasketReduction,
     BasketSpec,
     GeneralizedReducedParams,
     QuantoSpec,
@@ -118,11 +117,10 @@ def test_single_array_zero_spot_limits(data, strike, rate, vol, maturity, order)
 @given(data=st.data(), strike=price, m1=moneyness, m2=moneyness,
        weight=st.floats(0.2, 0.8), sig=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)),
        corr=st.floats(-0.8, 0.9), rate=st.floats(0.0, 0.1),
-       maturity=st.floats(0.05, 2.0), order=orders,
-       variant=st.sampled_from(["generalized", "literal"]))
+       maturity=st.floats(0.05, 2.0), order=orders)
 @settings(max_examples=40, deadline=None)
 def test_basket_array_matches_scalar(data, strike, m1, m2, weight, sig, corr, rate,
-                                     maturity, order, variant):
+                                     maturity, order):
     s1, s2 = sig
     cov = [[s1 * s1, corr * s1 * s2], [corr * s1 * s2, s2 * s2]]
     fields = dict(weights=[weight, 1.0 - weight], dividends=[0.01, 0.0], covariance=cov,
@@ -132,12 +130,12 @@ def test_basket_array_matches_scalar(data, strike, m1, m2, weight, sig, corr, ra
     g1, g2 = np.meshgrid(strike * np.exp(m1), strike * np.exp(m2), indexing="ij")
     spots = np.stack([g1, g2], axis=-1)
     exact = basket_put_array(base, spots)
-    series = hpm_series.price_basket_hpm_array(base, order, variant, spots)
+    series = hpm_series.price_basket_hpm_array(base, order, spots)
     assert exact.shape == series.shape == g1.shape
     for index in np.ndindex(g1.shape):
         spec = BasketSpec(spots=spots[index].tolist(), **fields)
         assert exact[index] == basket_put_exact(spec)
-        assert series[index] == hpm_series.price_basket_hpm(spec, order, variant)
+        assert series[index] == hpm_series.price_basket_hpm(spec, order)
 
 
 @given(data=st.data(), strike=price, m1=moneyness, s2=st.lists(st.floats(0.5, 60.0),
@@ -362,15 +360,6 @@ def test_shared_kernels_cover_every_order_and_both_tails():
                              _old_reduced_sum(y, tau, params, order))
         assert_same_bits(reduced_exact_u(y, tau[1:], params),
                          _old_reduced_exact_u(y, tau[1:], params))
-    # the literal basket sum shares the same per-side pass
-    red, rate, w = BasketReduction(sigma_hat=0.3, q_hat=0.02, xi=0.0), 0.05, math.sqrt(0.37)
-    z = y / w
-    expected, w_pow = np.zeros_like(z), w
-    for n in range(hpm_series.MAX_ORDER):
-        p, q = hpm_series._basket_polys(n, z, red.sigma_hat * red.sigma_hat, red.q_hat, rate)
-        expected = expected + _old_combine(p, q, z) * w_pow
-        w_pow *= w
-        assert_same_bits(hpm_series.hpm_basket_literal_sum(y, 0.37, red, rate, n + 1), expected)
 
 
 def _counting(monkeypatch, module, names):

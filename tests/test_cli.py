@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from putpricer import validation
+from putpricer import hpm_series, validation
 from putpricer.cli import main
 from putpricer.config import ExperimentConfig
 from putpricer.surface import PriceSurface
@@ -70,9 +70,19 @@ def test_invalid_json_rejected(tmp_path):
 def test_method_contract_compatibility():
     with pytest.raises(ValueError, match="does not apply"):
         ExperimentConfig.from_sources(None, {"contract": "quanto", "method": "hpm1"})
-    with pytest.raises(ValueError, match="does not apply"):
-        ExperimentConfig.from_sources(None, {"contract": "single",
+    with pytest.raises(ValueError, match="method must be one of"):
+        ExperimentConfig.from_sources(None, {"contract": "basket",
                                              "method": "basket-literal"})
+
+
+def test_order_cap_follows_max_order(monkeypatch):
+    with pytest.raises(ValueError, match=r"in \[1, 6\], got 7$"):
+        ExperimentConfig.from_sources(None, {"order": 7})
+    # the cap is read from hpm_series.MAX_ORDER, not restated
+    monkeypatch.setattr(hpm_series, "MAX_ORDER", 4)
+    assert ExperimentConfig.from_sources(None, {"order": 4}).order == 4
+    with pytest.raises(ValueError, match=r"in \[1, 4\], got 5$"):
+        ExperimentConfig.from_sources(None, {"order": 5})
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +158,18 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mystery": True}))
     assert main(["price", "single", "--config", str(path)]) == 2
+
+
+def test_removed_basket_literal_method_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["price", "basket", "--method", "basket-literal"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'basket-literal'" in capsys.readouterr().err
+    # an older config file that names it fails closed the same way
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": "basket-literal"}))
+    assert main(["price", "basket", "--config", str(path)]) == 2
+    assert "method must be one of" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +295,6 @@ def test_validate_exit_code_reflects_failures(monkeypatch, capsys):
 def test_corrupted_term_constant_fails_residual_check(monkeypatch):
     # mutation probe: a wrong constant in the second series term must be
     # caught by the recursion-residual check, by name
-    from putpricer import hpm_series
-
     original = hpm_series.phi_term
 
     def corrupted(n, xi, params):

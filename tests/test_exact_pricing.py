@@ -11,6 +11,7 @@ from putpricer.exact_pricing import (
     quanto_put_exact,
     reduced_exact_u,
 )
+from putpricer.pde_oracle import GridSpec, cn_solve
 from putpricer.transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -162,13 +163,45 @@ def test_basket_fig3_regression_against_reduced_route():
     assert basket_put_exact(spec) == pytest.approx(1.4110392664949423, abs=1e-12)
 
 
-def test_basket_three_assets_rejected_by_closed_form():
-    spec = BasketSpec(
-        spots=np.full(3, 40.0), weights=np.full(3, 1 / 3), dividends=np.zeros(3),
-        covariance=np.diag([0.01, 0.04, 0.09]), rate=0.05, strike=40.0, maturity=0.5,
+def random_basket(n, rng, at_the_money=False):
+    # random PSD covariance, weights, dividends and spots within 12% of the strike
+    weights = rng.dirichlet(np.ones(n))
+    logs = rng.uniform(-0.12, 0.12, n)
+    if at_the_money:
+        logs = logs - logs @ weights  # xi = sum alpha_i ln(S_i/K) = 0
+    root = rng.uniform(-0.3, 0.3, (n, n))
+    return BasketSpec(
+        spots=40.0 * np.exp(logs), weights=weights,
+        dividends=rng.uniform(0.0, 0.03, n),
+        covariance=root @ root.T + np.diag(rng.uniform(0.005, 0.05, n)),
+        rate=0.05, strike=40.0, maturity=0.5,
     )
-    with pytest.raises(ValueError, match="n in"):
-        basket_put_exact(spec)
+
+
+def test_basket_closed_form_matches_reduced_route_for_three_to_five_assets():
+    # a geometric basket is lognormal for every n, so the market-variable
+    # closed form and the (k1, k2) reduction agree beyond two assets
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5):
+        spec = random_basket(n, rng)
+        red = reduce_basket(spec)
+        params = basket_reduced_params(red, spec.rate)
+        tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
+        routed = spec.strike * reduced_exact_u(red.xi, tau, params)
+        assert basket_put_exact(spec) > 1.0
+        assert basket_put_exact(spec) == pytest.approx(routed, rel=1e-13, abs=0.0)
+
+
+def test_basket_closed_form_matches_cn_oracle_for_three_assets():
+    spec = random_basket(3, np.random.default_rng(37), at_the_money=True)
+    red = reduce_basket(spec)
+    assert abs(red.xi) < 1e-15
+    params = basket_reduced_params(red, spec.rate)
+    tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
+    # the payoff kink sits at the compared node and tau is ~0.01: 800^2 is off by
+    # 2.6e-5 here, 400^2 by 1.0e-4
+    sol = cn_solve(params, tau, GridSpec(ny=800, n_steps=800))
+    assert abs(sol.value_at_zero() - basket_put_exact(spec) / spec.strike) < 1e-4
 
 
 def test_basket_correlated_identical_assets_match_reduced_route():

@@ -7,7 +7,6 @@ import pytest
 from putpricer.exact_pricing import bs_put, reduced_exact_u
 from putpricer.hpm_series import (
     MAX_ORDER,
-    basket_term_literal,
     hpm1_reduced,
     hpm_reduced_sum,
     phi_term,
@@ -18,12 +17,10 @@ from putpricer.hpm_series import (
     single_asset_term,
 )
 from putpricer.transforms import (
-    BasketReduction,
     BasketSpec,
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
-    reduce_basket,
     to_dimensionless,
 )
 
@@ -186,51 +183,6 @@ def test_term_bound_message_follows_max_order(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# literal basket family
-# ---------------------------------------------------------------------------
-
-
-def fig3_reduction():
-    spec = BasketSpec(
-        spots=np.array([40.0, 40.0]), weights=np.array([0.5, 0.5]),
-        dividends=np.zeros(2), covariance=np.diag([0.01, 0.09]),
-        rate=0.05, strike=40.0, maturity=0.5,
-    )
-    return reduce_basket(spec)
-
-
-def test_basket_literal_n0_matches_generalized():
-    red = fig3_reduction()
-    z = np.linspace(-6, 6, 25)
-    a = basket_term_literal(0, z, red, 0.05)
-    b = phi_term(0, z, GeneralizedReducedParams(1.0, 1.0))
-    assert np.allclose(a, b, rtol=0, atol=1e-15)
-
-
-def test_basket_literal_n1_normalization_at_q_equals_r():
-    # with q_hat = r the legacy bracket collapses to z^2/4, a different
-    # normalization from the generalized (z^2 + 2 k1)
-    red = BasketReduction(sigma_hat=math.sqrt(0.025), q_hat=0.05, xi=0.0)
-    z = 1.3
-    gauss = math.exp(-z * z / 4.0) / SQRT_PI
-    e_term = math.erf(z / 2.0) - 1.0
-    expected = 0.25 * (2.0 * z * gauss + (z * z / 4.0) * e_term)
-    assert basket_term_literal(1, z, red, 0.05) == pytest.approx(expected, rel=1e-13)
-
-
-def test_basket_literal_right_tail_decay():
-    red = fig3_reduction()
-    for n in range(MAX_ORDER):
-        assert abs(basket_term_literal(n, 12.0, red, 0.05)) < 1e-12
-
-
-def test_basket_literal_rejects_degenerate_volatility():
-    red = BasketReduction(sigma_hat=0.0, q_hat=0.0, xi=0.0)
-    with pytest.raises(ValueError, match="sigma_hat"):
-        basket_term_literal(1, 0.0, red, 0.05)
-
-
-# ---------------------------------------------------------------------------
 # naive series
 # ---------------------------------------------------------------------------
 
@@ -373,7 +325,6 @@ def test_basket_hpm_payoff_at_expiry():
     geo = math.sqrt(30.0 * 50.0)
     expected = max(40.0 - geo, 0.0)
     assert price_basket_hpm(spec) == pytest.approx(expected, rel=1e-15)
-    assert price_basket_hpm(spec, variant="literal") == pytest.approx(expected, rel=1e-15)
 
 
 def test_basket_hpm_variant_validation():
@@ -382,9 +333,10 @@ def test_basket_hpm_variant_validation():
         dividends=np.zeros(2), covariance=np.diag([0.01, 0.09]),
         rate=0.05, strike=40.0, maturity=0.5,
     )
-    with pytest.raises(ValueError, match="variant"):
-        price_basket_hpm(spec, variant="bogus")
-    assert price_basket_hpm(spec, variant="literal") >= 0.0
+    # basket series prices have one route and take no variant keyword
+    with pytest.raises(TypeError, match="variant"):
+        price_basket_hpm(spec, variant="literal")
+    assert price_basket_hpm(spec) >= 0.0
 
 
 def test_quanto_hpm_payoff_and_homogeneity():

@@ -13,7 +13,7 @@ from putpricer.pde_oracle import (
     fd_residual,
     richardson_residual,
 )
-from putpricer.transforms import GeneralizedReducedParams, reduce_basket, BasketSpec
+from putpricer.transforms import GeneralizedReducedParams
 
 FIG1_PARAMS = GeneralizedReducedParams(0.950625998140567, 0.950625998140567)
 FIG1_TAU = 0.026298460224
@@ -206,26 +206,6 @@ def test_estimator_is_second_order():
         math.sqrt(float((r1**2).mean())) / math.sqrt(float((r2**2).mean()))
     )
     assert 1.8 <= order <= 2.2
-
-
-def test_basket_literal_residual_is_nonzero_diagnostic():
-    # the legacy basket terms do not satisfy the generalized recursion; the
-    # measured residual documents the inconsistency without asserting a value
-    spec = BasketSpec(
-        spots=np.array([40.0, 40.0]), weights=np.array([0.5, 0.5]),
-        dividends=np.zeros(2), covariance=np.diag([0.01, 0.09]),
-        rate=0.05, strike=40.0, maturity=0.5,
-    )
-    red = reduce_basket(spec)
-    params = GeneralizedReducedParams(3.0, 4.0)  # the basket's reduced pair
-
-    def literal(m, zz):
-        return hpm_series.basket_term_literal(m, zz, red, spec.rate)
-
-    diag = richardson_residual(1, params, 0.4, 0.3, terms=literal)
-    assert abs(diag) > 1e-3
-    # while the generalized terms at the same pair extrapolate to zero
-    assert abs(richardson_residual(1, params, 0.4, 0.3)) < 1e-8
 
 
 def test_residual_detects_corrupted_term(monkeypatch):
