@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__, hpm_series, validation
-from .config import METHODS, ExperimentConfig
+from .config import CONTRACTS, METHODS, SCHEMA, ExperimentConfig
 from .exact_pricing import (
     basket_put_array,
     basket_put_exact,
@@ -28,20 +28,6 @@ from .surface import PriceSurface
 FIGURE_CONTRACT = {1: "single", 2: "single", 3: "basket", 4: "basket",
                    5: "quanto", 6: "quanto"}
 
-# which config section each flag may override
-FLAG_SECTIONS = {
-    "spot": ("single",), "vol": ("single",),
-    "spots": ("basket",), "weights": ("basket",), "dividends": ("basket",),
-    "covariance": ("basket",),
-    "s1": ("quanto",), "s2": ("quanto",), "sigma1": ("quanto",),
-    "sigma2": ("quanto",), "rho": ("quanto",), "r1": ("quanto",),
-    "r2": ("quanto",), "q": ("quanto",),
-    "rate": ("single", "basket"),
-    "strike": ("single", "basket", "quanto"),
-    "maturity": ("single", "basket", "quanto"),
-    "valuation_time": ("single", "basket", "quanto"),
-}
-
 
 def _parse_vector(text):
     return [float(part) for part in text.split(",") if part.strip() != ""]
@@ -51,53 +37,41 @@ def _parse_matrix(text):
     return [_parse_vector(row) for row in text.split(";")]
 
 
-def _add_contract_flags(parser):
-    single = parser.add_argument_group("single-asset parameters")
-    single.add_argument("--spot", type=float)
-    single.add_argument("--vol", type=float)
-    basket = parser.add_argument_group("basket parameters")
-    basket.add_argument("--spots", type=_parse_vector, metavar="A,B")
-    basket.add_argument("--weights", type=_parse_vector, metavar="A,B")
-    basket.add_argument("--dividends", type=_parse_vector, metavar="A,B")
-    basket.add_argument("--covariance", type=_parse_matrix, metavar="A,B;C,D")
-    quanto = parser.add_argument_group("quanto parameters")
-    quanto.add_argument("--s1", type=float)
-    quanto.add_argument("--s2", type=float)
-    quanto.add_argument("--sigma1", type=float)
-    quanto.add_argument("--sigma2", type=float)
-    quanto.add_argument("--rho", type=float)
-    quanto.add_argument("--r1", type=float)
-    quanto.add_argument("--r2", type=float)
-    quanto.add_argument("--q", type=float)
-    shared = parser.add_argument_group("shared contract parameters")
-    shared.add_argument("--rate", type=float)
-    shared.add_argument("--strike", type=float)
-    shared.add_argument("--maturity", type=float)
-    shared.add_argument("--valuation-time", dest="valuation_time", type=float)
+_METAVARS = {_parse_vector: "A,B", _parse_matrix: "A,B;C,D"}
+
+
+def _flag_parser(default):
+    if not isinstance(default, list):
+        return float
+    return _parse_matrix if isinstance(default[0], list) else _parse_vector
+
+
+def _contract_flags():
+    """{field: (parser, contracts)}: one flag per field of the contract defaults."""
+    flags = {}
+    for contract in CONTRACTS:
+        for name, default in SCHEMA[contract].items():
+            flags.setdefault(name, (_flag_parser(default), []))[1].append(contract)
+    return flags
+
+
+CONTRACT_FLAGS = _contract_flags()
 
 
 def _collect_overrides(args, contract):
-    overrides = {}
-    for flag, sections in FLAG_SECTIONS.items():
-        value = getattr(args, flag, None)
+    overrides = {"contract": contract, "method": args.method, "order": args.order}
+    for name, (_, contracts) in CONTRACT_FLAGS.items():
+        value = getattr(args, name)
         if value is None:
             continue
-        if contract not in sections:
-            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {contract}")
-        overrides[f"{contract}.{flag}"] = value
-    for name in ("method", "order", "threads"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    overrides["contract"] = contract
+        if contract not in contracts:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {contract}")
+        overrides[f"{contract}.{name}"] = value
     return overrides
 
 
 def _load_config(args, contract):
-    return ExperimentConfig.from_sources(
-        config_path=getattr(args, "config", None),
-        overrides=_collect_overrides(args, contract),
-    )
+    return ExperimentConfig.from_sources(args.config, _collect_overrides(args, contract))
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +109,13 @@ _PRICERS = {"single": _price_single, "basket": _price_basket, "quanto": _price_q
 
 
 def _axis(config, key, default_start, default_stop, default_points, name):
+    # ExperimentConfig.validate has checked the types and the point count
     axis_cfg = config.grid.get(key) or {}
     start = axis_cfg.get("start", default_start)
     stop = axis_cfg.get("stop", default_stop)
-    points = axis_cfg.get("points", default_points)
-    if points < 2 or stop <= start:
-        raise ValueError(f"{name}: need at least 2 points and stop > start")
-    return np.linspace(start, stop, int(points))
+    if stop <= start:
+        raise ValueError(f"{name}: need stop > start")
+    return np.linspace(start, stop, axis_cfg.get("points", default_points))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +269,10 @@ def cmd_price(args):
 
 def cmd_figure(args):
     config = _load_config(args, FIGURE_CONTRACT[args.figure])
-    if args.points is not None:
-        config.grid["axis1"] = {**config.grid.get("axis1", {}), "points": args.points}
-    if args.points2 is not None:
-        config.grid["axis2"] = {**config.grid.get("axis2", {}), "points": args.points2}
+    for key, points in (("axis1", args.points), ("axis2", args.points2)):
+        if points is not None:
+            config.grid[key] = {**(config.grid.get(key) or {}), "points": points}
+            config.validate()
     surface = figure_surface(args.figure, config)
     surface.write_csv(args.out)
     print(f"figure {args.figure}: wrote {surface.n_rows} data rows to {args.out}")
@@ -335,6 +309,19 @@ def cmd_validate(args):
     return 1 if failures else 0
 
 
+def _common_parser():
+    """Method, order, config file and contract flags, shared by price, figure and grid."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--method", choices=METHODS)
+    common.add_argument("--order", type=int)
+    common.add_argument("--config", help="JSON config file")
+    group = common.add_argument_group("contract parameters")
+    for name, (parser, contracts) in CONTRACT_FLAGS.items():
+        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=parser,
+                           metavar=_METAVARS.get(parser), help=", ".join(contracts))
+    return common
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="putpricer",
@@ -343,29 +330,22 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_parser()]
 
-    p_price = sub.add_parser("price", help="price a single contract")
-    p_price.add_argument("contract", choices=("single", "basket", "quanto"))
-    p_price.add_argument("--method", choices=METHODS)
-    p_price.add_argument("--order", type=int)
-    p_price.add_argument("--config", help="JSON config file")
-    _add_contract_flags(p_price)
+    p_price = sub.add_parser("price", parents=common, help="price a single contract")
+    p_price.add_argument("contract", choices=CONTRACTS)
     p_price.set_defaults(func=cmd_price)
 
-    p_fig = sub.add_parser("figure", help="emit CSV data for figures 1-6")
+    p_fig = sub.add_parser("figure", parents=common, help="emit CSV data for figures 1-6")
     p_fig.add_argument("figure", type=int, choices=tuple(range(1, 7)))
     p_fig.add_argument("--out", required=True, help="CSV output path")
-    p_fig.add_argument("--config", help="JSON config file")
-    p_fig.add_argument("--method", choices=METHODS)
-    p_fig.add_argument("--order", type=int)
     p_fig.add_argument("--points", type=int, help="points on the first axis")
     p_fig.add_argument("--points2", type=int, help="points on the second axis")
-    p_fig.add_argument("--threads", type=int, help="accepted and ignored")
-    _add_contract_flags(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 
-    p_grid = sub.add_parser("grid", help="sweep a method over parameter ranges")
-    p_grid.add_argument("contract", choices=("single", "basket", "quanto"))
+    p_grid = sub.add_parser("grid", parents=common,
+                            help="sweep a method over parameter ranges")
+    p_grid.add_argument("contract", choices=CONTRACTS)
     p_grid.add_argument("--axis", required=True)
     p_grid.add_argument("--start", type=float, required=True)
     p_grid.add_argument("--stop", type=float, required=True)
@@ -375,16 +355,10 @@ def build_parser():
     p_grid.add_argument("--stop2", type=float)
     p_grid.add_argument("--points2", type=int)
     p_grid.add_argument("--out", required=True)
-    p_grid.add_argument("--method", choices=METHODS)
-    p_grid.add_argument("--order", type=int)
-    p_grid.add_argument("--threads", type=int, help="accepted and ignored")
-    p_grid.add_argument("--config", help="JSON config file")
-    _add_contract_flags(p_grid)
     p_grid.set_defaults(func=cmd_grid)
 
     p_val = sub.add_parser("validate", help="run the acceptance checks")
     p_val.add_argument("--profile", choices=("default", "strict"), default="default")
-    p_val.add_argument("--config", help="accepted for interface symmetry; unused")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

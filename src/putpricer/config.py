@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +41,20 @@ DEFAULT_QUANTO = {
     "r1": 0.03, "r2": 0.05, "q": 0.0,
     "strike": 40.0, "maturity": 0.5, "valuation_time": 0.0,
 }
-DEFAULT_AXIS = {"name": "", "start": 0.0, "stop": 0.0, "points": 0}
+DEFAULT_AXIS = {"start": 0.0, "stop": 0.0, "points": 0}
+
+# every key a config file may hold; the contract sections double as the CLI's
+# flag schema, so a field added to a DEFAULT_* dict becomes a flag as well
+SCHEMA = {
+    "contract": None, "method": None, "order": None,
+    "single": DEFAULT_SINGLE, "basket": DEFAULT_BASKET, "quanto": DEFAULT_QUANTO,
+    "grid": {"axis1": DEFAULT_AXIS, "axis2": DEFAULT_AXIS},
+}
 
 
-def _reject_unknown(section, data, template):
+def _check_section(section, data, template):
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {section!r} must be an object")
     unknown = set(data) - set(template)
     if unknown:
         raise ValueError(
@@ -51,12 +62,19 @@ def _reject_unknown(section, data, template):
         )
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, float) or _is_integer(value)
+
+
 @dataclass
 class ExperimentConfig:
     contract: str = "single"
     method: str = "exact"
     order: int = 6
-    threads: int = 0          # accepted and ignored; kept so older files still load
     single: dict = field(default_factory=lambda: dict(DEFAULT_SINGLE))
     basket: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_BASKET))
     quanto: dict = field(default_factory=lambda: dict(DEFAULT_QUANTO))
@@ -71,13 +89,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"method {self.method!r} does not apply to contract {self.contract!r}"
             )
-        max_order = hpm_series.MAX_ORDER
-        if not isinstance(self.order, int) or not 1 <= self.order <= max_order:
-            raise ValueError(
-                f"order must be an integer in [1, {max_order}], got {self.order!r}"
-            )
-        if not isinstance(self.threads, int) or self.threads < 0:
-            raise ValueError(f"threads must be a nonnegative integer, got {self.threads!r}")
+        hpm_series._check_order(self.order)
+        for key, axis in self.grid.items():
+            for name, value in (axis or {}).items():
+                if name == "points" and not (_is_integer(value) and value >= 2):
+                    raise ValueError(f"grid.{key}.points must be an integer >= 2, got {value!r}")
+                if name != "points" and not (_is_real(value) and math.isfinite(value)):
+                    raise ValueError(f"grid.{key}.{name} must be a finite number, got {value!r}")
         # constructing the specs runs the full domain validation
         self.vanilla_spec()
         self.basket_spec()
@@ -118,29 +136,17 @@ class ExperimentConfig:
                     raise ValueError(f"config {config_path}: invalid JSON ({exc})")
             if not isinstance(data, dict):
                 raise ValueError(f"config {config_path}: top level must be an object")
-            template = {
-                "contract": None, "method": None, "order": None, "threads": None,
-                "single": DEFAULT_SINGLE, "basket": DEFAULT_BASKET,
-                "quanto": DEFAULT_QUANTO,
-                "grid": {"axis1": DEFAULT_AXIS, "axis2": DEFAULT_AXIS},
-            }
-            _reject_unknown("top level", data, template)
+            _check_section("top level", data, SCHEMA)
             for key, value in data.items():
-                if key in ("single", "basket", "quanto"):
-                    if not isinstance(value, dict):
-                        raise ValueError(f"config section {key!r} must be an object")
-                    _reject_unknown(key, value, template[key])
-                    getattr(cfg, key).update(value)
-                elif key == "grid":
-                    if not isinstance(value, dict):
-                        raise ValueError("config section 'grid' must be an object")
-                    _reject_unknown("grid", value, template["grid"])
-                    for axis_key, axis_val in value.items():
-                        if axis_val is not None:
-                            _reject_unknown(f"grid.{axis_key}", axis_val, DEFAULT_AXIS)
-                    cfg.grid.update(value)
-                else:
+                if SCHEMA[key] is None:
                     setattr(cfg, key, value)
+                    continue
+                _check_section(key, value, SCHEMA[key])
+                if key == "grid":
+                    for axis_key, axis in value.items():
+                        if axis is not None:
+                            _check_section(f"grid.{axis_key}", axis, DEFAULT_AXIS)
+                getattr(cfg, key).update(value)
         for key, value in (overrides or {}).items():
             if value is None:
                 continue

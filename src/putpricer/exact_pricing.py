@@ -70,13 +70,6 @@ def bs_put(spec: VanillaOptionSpec) -> float:
     return float(bs_put_array(spec))
 
 
-def bs_call_from_parity(spec: VanillaOptionSpec) -> float:
-    """European call via parity, C = P + S - E exp(-r (T-t))."""
-    t_rem = spec.time_remaining
-    value = bs_put(spec) + spec.spot - spec.strike * math.exp(-spec.rate * t_rem)
-    return float(_clamp_tiny_negative(value, spec.strike))
-
-
 def basket_put_array(spec: BasketSpec, spots=None):
     """Exact geometric-basket put over spot vectors along the last axis of `spots`.
 

@@ -1,6 +1,6 @@
 """Independent numerical ground truth for the reduced equation.
 
-A theta-scheme (Crank-Nicolson by default) finite-difference solver for
+A Crank-Nicolson finite-difference solver for
 
     u_tau = u_yy + (k1 - 1) u_y - k2 u,   u(y, 0) = max(1 - e^y, 0),
 
@@ -34,7 +34,6 @@ class GridSpec:
     y_max: float = 4.0
     ny: int = 400          # interior nodes
     n_steps: int = 400
-    theta: float = 0.5     # 0.5 = Crank-Nicolson, 1.0 = implicit Euler
 
     def __post_init__(self):
         if not (self.y_min < 0.0 < self.y_max):
@@ -43,8 +42,6 @@ class GridSpec:
             raise ValueError(f"ny must be at least 16, got {self.ny}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,6 @@ class PdeSolution:
     y: np.ndarray
     taus: np.ndarray
     values: np.ndarray
-    stability_warning: bool
     min_value: float
 
     def value_at_zero(self) -> float:
@@ -66,17 +62,6 @@ class PdeSolution:
 
     def interior_final(self) -> np.ndarray:
         return self.values[-1, 1:-1]
-
-    def to_csv(self, path) -> None:
-        """Dump (y, tau, u) triples for debugging."""
-        n_tau, n_y = self.values.shape
-        rows = np.column_stack([
-            np.tile(self.y, n_tau), np.repeat(self.taus, n_y), self.values.ravel(),
-        ])
-        # one %-format over the whole table: every row uses the same template
-        table = "%.12e,%.12e,%.12e\n" * rows.shape[0] % tuple(rows.ravel().tolist())
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("y,tau,u\n" + table)
 
 
 def _payoff(y):
@@ -146,12 +131,13 @@ def _boundary_values(boundary, params: GeneralizedReducedParams, y_lo, y_hi, tau
 
 def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
              initial=None, boundary="exact") -> PdeSolution:
-    """Solve the reduced equation up to tau_final on the given grid.
+    """Crank-Nicolson solve of the reduced equation up to tau_final on the given grid.
 
     `initial` overrides the put payoff (test hook); `boundary` selects the
     Dirichlet data: exact closed-form values (default, isolates interior
-    discretization error) or the deep-tail payoff asymptote (independence
-    mode).  Second order in both h and dtau at theta = 1/2.
+    discretization error), the deep-tail payoff asymptote (independence
+    mode), or a (left, right) pair of callables of tau.  Second order in
+    both h and dtau.
     """
     if not (math.isfinite(tau_final) and tau_final > 0.0):
         raise ValueError(f"tau_final must be positive and finite, got {tau_final}")
@@ -163,27 +149,20 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
     taus = dtau * np.arange(grid.n_steps + 1)
     left, right = _boundary_values(boundary, params, float(y[0]), float(y[-1]), taus)
 
-    # explicit part of the theta scheme is only stable for dtau below the
-    # diffusion limit; flag, do not fail, since theta >= 1/2 has no limit
-    stability_warning = False
-    if grid.theta < 0.5:
-        limit = 0.5 * h * h / (1.0 - 2.0 * grid.theta)
-        stability_warning = dtau > limit
-
     k1, k2 = params.k1, params.k2
     a_coef = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)   # multiplies u_{j-1}
     b_coef = -2.0 / (h * h) - k2                      # multiplies u_j
     c_coef = 1.0 / (h * h) + (k1 - 1.0) / (2.0 * h)   # multiplies u_{j+1}
 
-    theta = grid.theta
-    lower = -theta * dtau * a_coef
-    diag = 1.0 - theta * dtau * b_coef
-    upper = -theta * dtau * c_coef
+    # half the operator implicit, half explicit
+    lower = -0.5 * dtau * a_coef
+    diag = 1.0 - 0.5 * dtau * b_coef
+    upper = -0.5 * dtau * c_coef
     cp, denom = _thomas_factor(lower, diag, upper, grid.ny)
 
-    ea = (1.0 - theta) * dtau * a_coef
-    eb = 1.0 + (1.0 - theta) * dtau * b_coef
-    ec = (1.0 - theta) * dtau * c_coef
+    ea = 0.5 * dtau * a_coef
+    eb = 1.0 + 0.5 * dtau * b_coef
+    ec = 0.5 * dtau * c_coef
 
     values = np.empty((grid.n_steps + 1, grid.ny + 2))
     u = _payoff(y) if initial is None else np.asarray(initial(y), dtype=float)
@@ -208,7 +187,7 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
         log.info("cn_solve: solution dipped to %.3e below zero (scheme is not "
                  "positivity preserving; diagnostic only)", min_value)
     return PdeSolution(grid=grid, params=params, y=y, taus=taus, values=values,
-                       stability_warning=stability_warning, min_value=min_value)
+                       min_value=min_value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,11 @@
 
 CSV output is byte-stable for identical inputs: metadata lines are sorted,
 numbers use fixed 12-significant-digit scientific notation, line endings
-are LF and the encoding is UTF-8.  The in-memory surface also carries a
-creation timestamp, which deliberately stays out of the file so repeated
-runs produce identical bytes.
+are LF and the encoding is UTF-8.
 """
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +21,6 @@ class PriceSurface:
     value_names: tuple
     values: tuple
     metadata: dict = field(default_factory=dict)
-    created_at: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
 
     def __post_init__(self):
         if len(self.axis_names) not in (1, 2) or len(self.axis_names) != len(self.axes):

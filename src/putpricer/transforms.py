@@ -74,23 +74,6 @@ class ReducedCoordinates:
 
 
 @dataclass(frozen=True)
-class SimilarityPoint:
-    """Similarity coordinates z = x/sqrt(tau), w = sqrt(tau).
-
-    The payoff kink at x = 0, tau -> 0 sits at z = +-infinity in these
-    coordinates, which is what makes the series terms smooth.
-    """
-
-    z: float
-    w: float
-
-    def __post_init__(self):
-        _require_finite("SimilarityPoint", z=self.z, w=self.w)
-        if self.w < 0:
-            raise ValueError(f"w must be nonnegative, got {self.w}")
-
-
-@dataclass(frozen=True)
 class GeneralizedReducedParams:
     """The (k1, k2) pair of the unified reduced equation."""
 
@@ -288,26 +271,6 @@ def to_dimensionless(spec: VanillaOptionSpec) -> ReducedCoordinates:
     """Map a vanilla contract to (x, tau, k) = (ln(S/K), sigma^2(T-t)/2, 2r/sigma^2)."""
     x, tau, k = to_dimensionless_arrays(spec)
     return ReducedCoordinates(x=float(x), tau=float(tau), k=k)
-
-
-def from_dimensionless_value(v: float, spec: VanillaOptionSpec) -> float:
-    """Scale a dimensionless value back to currency, P = K v."""
-    return spec.strike * v
-
-
-def to_similarity(rc: ReducedCoordinates) -> SimilarityPoint:
-    """Similarity coordinates (z, w) = (x/sqrt(tau), sqrt(tau)); needs tau > 0."""
-    if rc.tau <= 0:
-        raise ValueError(
-            "to_similarity: tau must be positive; at expiry use the payoff directly"
-        )
-    w = math.sqrt(rc.tau)
-    return SimilarityPoint(z=rc.x / w, w=w)
-
-
-def from_similarity(point: SimilarityPoint, k: float) -> ReducedCoordinates:
-    """Inverse of to_similarity: x = z w, tau = w^2."""
-    return ReducedCoordinates(x=point.z * point.w, tau=point.w * point.w, k=k)
 
 
 def reduce_basket(spec: BasketSpec) -> BasketReduction:

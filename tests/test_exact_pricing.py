@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from putpricer.exact_pricing import (
     basket_put_exact,
-    bs_call_from_parity,
     bs_put,
     quanto_put_exact,
     reduced_exact_u,
@@ -97,35 +96,6 @@ def test_bs_put_within_no_arbitrage_bounds():
         spec = random_vanilla(rng, atm_band=(0.1, 5.0))
         p = bs_put(spec)
         assert 0.0 <= p <= spec.strike * math.exp(-spec.rate * spec.time_remaining) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# put-call parity
-# ---------------------------------------------------------------------------
-
-
-def test_call_zero_spot_limit():
-    spec = VanillaOptionSpec(**{**SECTION5, "spot": 1e-12})
-    assert bs_call_from_parity(spec) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_call_payoff_at_expiry():
-    for spot in (25.0, 40.0, 55.0):
-        spec = VanillaOptionSpec(**{**SECTION5, "spot": spot, "valuation_time": 0.5})
-        assert bs_call_from_parity(spec) == pytest.approx(max(spot - 40.0, 0.0), abs=1e-12)
-
-
-def test_parity_residual_on_random_specs():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        spec = random_vanilla(rng)
-        resid = (
-            bs_call_from_parity(spec)
-            - bs_put(spec)
-            - spec.spot
-            + spec.strike * math.exp(-spec.rate * spec.time_remaining)
-        )
-        assert abs(resid) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

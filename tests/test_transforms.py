@@ -8,16 +8,11 @@ from putpricer.transforms import (
     BasketSpec,
     GeneralizedReducedParams,
     QuantoSpec,
-    ReducedCoordinates,
-    SimilarityPoint,
     VanillaOptionSpec,
     basket_reduced_params,
-    from_dimensionless_value,
-    from_similarity,
     reduce_basket,
     reduce_quanto,
     to_dimensionless,
-    to_similarity,
 )
 
 SECTION5 = dict(spot=40.0, strike=40.0, rate=0.05, vol=0.324336, maturity=0.5)
@@ -33,7 +28,7 @@ def make_basket(spots=(40.0, 40.0), weights=(0.5, 0.5), dividends=(0.0, 0.0),
 
 
 # ---------------------------------------------------------------------------
-# to_dimensionless / from_dimensionless_value
+# to_dimensionless
 # ---------------------------------------------------------------------------
 
 
@@ -56,18 +51,12 @@ def test_dimensionless_log_moneyness():
     assert to_dimensionless(spec).x == pytest.approx(math.log(2.0), rel=1e-15)
 
 
-def test_from_dimensionless_value():
-    spec = VanillaOptionSpec(**SECTION5)
-    assert from_dimensionless_value(0.0, spec) == 0.0
-    assert from_dimensionless_value(1.0, spec) == 40.0
-
-
 def test_deep_itm_limit_matches_discounting_boundary():
     # in the limit x -> -inf the reduced value e^{-k tau} - e^x scales back to
     # K e^{-k tau}, which must be the discounted strike K e^{-r (T - t)}
     spec = VanillaOptionSpec(**SECTION5)
     rc = to_dimensionless(spec)
-    lhs = from_dimensionless_value(math.exp(-rc.k * rc.tau), spec)
+    lhs = spec.strike * math.exp(-rc.k * rc.tau)
     rhs = spec.strike * math.exp(-spec.rate * spec.time_remaining)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
@@ -75,35 +64,6 @@ def test_deep_itm_limit_matches_discounting_boundary():
 def test_invalid_time_rejected():
     with pytest.raises(ValueError):
         VanillaOptionSpec(**{**SECTION5, "valuation_time": 0.6})
-
-
-# ---------------------------------------------------------------------------
-# similarity transformation
-# ---------------------------------------------------------------------------
-
-
-def test_similarity_simple_points():
-    assert to_similarity(ReducedCoordinates(0.0, 0.25, 1.0)) == SimilarityPoint(0.0, 0.5)
-    assert to_similarity(ReducedCoordinates(-1.0, 1.0, 1.0)) == SimilarityPoint(-1.0, 1.0)
-
-
-def test_similarity_rejects_expiry():
-    with pytest.raises(ValueError):
-        to_similarity(ReducedCoordinates(0.3, 0.0, 1.0))
-
-
-def test_similarity_round_trip_random():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        rc = ReducedCoordinates(
-            x=float(rng.uniform(-5, 5)),
-            tau=float(rng.uniform(1e-6, 4.0)),
-            k=float(rng.uniform(0.1, 3.0)),
-        )
-        back = from_similarity(to_similarity(rc), rc.k)
-        assert back.x == pytest.approx(rc.x, rel=1e-15, abs=1e-15)
-        assert back.tau == pytest.approx(rc.tau, rel=1e-15)
-        assert back.k == rc.k
 
 
 def test_dimensionless_round_trip_random():
