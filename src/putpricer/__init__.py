@@ -5,11 +5,8 @@ geometric-basket and quanto contracts."""
 __version__ = "0.1.0"
 
 from .exact_pricing import (
-    basket_put_array,
     basket_put_exact,
     bs_put,
-    bs_put_array,
-    quanto_put_array,
     quanto_put_exact,
     reduced_exact_u,
 )
@@ -19,13 +16,9 @@ from .hpm_series import (
     hpm_reduced_sum,
     phi_term,
     price_basket_hpm,
-    price_basket_hpm_array,
     price_quanto_hpm,
-    price_quanto_hpm_array,
     price_single_hpm1,
-    price_single_hpm1_array,
     price_single_hpm2,
-    price_single_hpm2_array,
     single_asset_term,
 )
 from .pde_oracle import GridSpec, PdeSolution, cn_solve, fd_residual, richardson_residual
@@ -57,11 +50,9 @@ __all__ = [
     "QuantoSpec",
     "ReducedCoordinates",
     "VanillaOptionSpec",
-    "basket_put_array",
     "basket_put_exact",
     "basket_reduced_params",
     "bs_put",
-    "bs_put_array",
     "cn_solve",
     "erf",
     "erfc",
@@ -72,14 +63,9 @@ __all__ = [
     "normal_cdf",
     "phi_term",
     "price_basket_hpm",
-    "price_basket_hpm_array",
     "price_quanto_hpm",
-    "price_quanto_hpm_array",
     "price_single_hpm1",
-    "price_single_hpm1_array",
     "price_single_hpm2",
-    "price_single_hpm2_array",
-    "quanto_put_array",
     "quanto_put_exact",
     "reduce_basket",
     "reduce_quanto",

@@ -15,14 +15,7 @@ import numpy as np
 
 from . import __version__, hpm_series, validation
 from .config import CONTRACTS, METHODS, SCHEMA, ExperimentConfig
-from .exact_pricing import (
-    basket_put_array,
-    basket_put_exact,
-    bs_put,
-    bs_put_array,
-    quanto_put_array,
-    quanto_put_exact,
-)
+from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact
 from .surface import PriceSurface
 
 FIGURE_CONTRACT = {1: "single", 2: "single", 3: "basket", 4: "basket",
@@ -152,16 +145,16 @@ def figure_surface(figure_id, config):
                 axis_names=("S",), axes=(spots,),
                 value_names=("exact", "hpm1", "hpm2"),
                 values=(
-                    bs_put_array(spec, spot=spots),
-                    hpm_series.price_single_hpm1_array(spec, spot=spots),
-                    hpm_series.price_single_hpm2_array(spec, config.order, spot=spots),
+                    bs_put(spec, spot=spots),
+                    hpm_series.price_single_hpm1(spec, spot=spots),
+                    hpm_series.price_single_hpm2(spec, config.order, spot=spots),
                 ),
                 metadata=_metadata(config, 1, {"methods": "exact,hpm1,hpm2"}),
             )
         times = _axis(config, "axis2", 0.0, spec.maturity, 51, "time axis")
         grid = {"spot": spots[:, None], "valuation_time": times}
-        error = (hpm_series.price_single_hpm2_array(spec, config.order, **grid)
-                 - bs_put_array(spec, **grid))
+        error = (hpm_series.price_single_hpm2(spec, config.order, **grid)
+                 - bs_put(spec, **grid))
         return PriceSurface(
             axis_names=("S", "t"), axes=(spots, times),
             value_names=("error",), values=(error,),
@@ -176,15 +169,15 @@ def figure_surface(figure_id, config):
         spec = config.basket_spec()
         g1, g2 = np.meshgrid(s1_axis, s2_axis, indexing="ij")
         spots = np.stack([g1, g2], axis=-1)
-        values = basket_put_array(spec, spots)
+        values = basket_put_exact(spec, spots)
         if is_error:
-            values = hpm_series.price_basket_hpm_array(spec, config.order, spots) - values
+            values = hpm_series.price_basket_hpm(spec, config.order, spots) - values
     else:
         spec = config.quanto_spec()
         grid = {"s1": s1_axis[:, None], "s2": s2_axis[None, :]}
-        values = quanto_put_array(spec, **grid)
+        values = quanto_put_exact(spec, **grid)
         if is_error:
-            values = hpm_series.price_quanto_hpm_array(spec, config.order, **grid) - values
+            values = hpm_series.price_quanto_hpm(spec, config.order, **grid) - values
 
     name = "error" if is_error else "price"
     extra = {"error": "series - exact"} if is_error else {"method": "exact"}

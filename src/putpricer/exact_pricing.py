@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .special_functions import SQRT_TWO, erfcx, normal_cdf
+from .special_functions import SQRT_TWO, _result, erfcx, normal_cdf
 from .transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -38,8 +38,8 @@ def _clamp_tiny_negative(value, scale):
     return np.where(negative & (-1e-16 * scale < value), 0.0, value)
 
 
-def bs_put_array(spec: VanillaOptionSpec, spot=None, valuation_time=None):
-    """European put over broadcastable arrays of spot and valuation time.
+def bs_put(spec: VanillaOptionSpec, spot=None, valuation_time=None):
+    """European put price, over broadcastable arrays of spot and valuation time if given.
 
     Fields not given come from `spec`.  Spot 0 gives the limit E e^{-r(T-t)};
     at expiry the contractual payoff applies.
@@ -62,16 +62,11 @@ def bs_put_array(spec: VanillaOptionSpec, spot=None, valuation_time=None):
     value = _clamp_tiny_negative(value, spec.strike)
     if any_expired:
         value = np.where(expired, np.maximum(spec.strike - spot, 0.0), value)
-    return value
+    return _result(value)
 
 
-def bs_put(spec: VanillaOptionSpec) -> float:
-    """European put price; the contractual payoff at expiry."""
-    return float(bs_put_array(spec))
-
-
-def basket_put_array(spec: BasketSpec, spots=None):
-    """Exact geometric-basket put over spot vectors along the last axis of `spots`.
+def basket_put_exact(spec: BasketSpec, spots=None):
+    """Exact geometric-basket put, over spot vectors along the last axis of `spots` if given.
 
     P = E e^{-r(T-t)} N(-d2h) - e^{-qh(T-t)} prod S_i^alpha_i N(-d1h).
     Fields other than the spots come from `spec`.  A geometric basket of
@@ -81,7 +76,7 @@ def basket_put_array(spec: BasketSpec, spots=None):
     geo = geometric_mean(spec, spots)
     t_rem = spec.time_remaining
     if t_rem == 0.0:
-        return np.maximum(spec.strike - geo, 0.0)
+        return _result(np.maximum(spec.strike - geo, 0.0))
     red = reduce_basket(spec)
     if red.sigma_hat <= 0.0:
         raise ValueError("degenerate basket volatility: sigma_hat must be positive")
@@ -94,16 +89,11 @@ def basket_put_array(spec: BasketSpec, spots=None):
     value = spec.strike * math.exp(-spec.rate * t_rem) * normal_cdf(-d2) - (
         math.exp(-red.q_hat * t_rem) * geo * normal_cdf(-d1)
     )
-    return _clamp_tiny_negative(value, spec.strike)
+    return _result(_clamp_tiny_negative(value, spec.strike))
 
 
-def basket_put_exact(spec: BasketSpec) -> float:
-    """Exact geometric-basket put of the spec's spots; see `basket_put_array`."""
-    return float(basket_put_array(spec))
-
-
-def quanto_put_array(spec: QuantoSpec, s1=None, s2=None):
-    """Exact quanto put over broadcastable arrays of s1 and s2, in market variables.
+def quanto_put_exact(spec: QuantoSpec, s1=None, s2=None):
+    """Exact quanto put in market variables, over broadcastable arrays of s1 and s2 if given.
 
     P = E S2 e^{-rh(T-t)} N(-d1) - S1 S2 e^{(qh-rh)(T-t)} N(-d2) with
     d1 = [ln(S1/E) + (qh - sh^2/2)(T-t)] / (sh sqrt(T-t)) and d2 the same
@@ -114,7 +104,7 @@ def quanto_put_array(spec: QuantoSpec, s1=None, s2=None):
     s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
     t_rem = spec.time_remaining
     if t_rem == 0.0:
-        return s2 * np.maximum(spec.strike - s1, 0.0)
+        return _result(s2 * np.maximum(spec.strike - s1, 0.0))
     red = reduce_quanto(spec)
     sigma_hat = math.sqrt(red.sigma_hat_sq)
     vol_sqrt_t = sigma_hat * math.sqrt(t_rem)
@@ -124,12 +114,7 @@ def quanto_put_array(spec: QuantoSpec, s1=None, s2=None):
     value = spec.strike * s2 * math.exp(-red.r_hat * t_rem) * normal_cdf(-d1) - (
         s1 * s2 * math.exp((red.q_hat - red.r_hat) * t_rem) * normal_cdf(-d2)
     )
-    return _clamp_tiny_negative(value, spec.strike * s2)
-
-
-def quanto_put_exact(spec: QuantoSpec) -> float:
-    """Exact quanto put of the spec's prices; see `quanto_put_array`."""
-    return float(quanto_put_array(spec))
+    return _result(_clamp_tiny_negative(value, spec.strike * s2))
 
 
 def reduced_exact_u(y, tau, params: GeneralizedReducedParams):
@@ -162,7 +147,4 @@ def reduced_exact_u(y, tau, params: GeneralizedReducedParams):
     if scaled.any():
         ds = d2[scaled]
         second[scaled] = 0.5 * np.exp(expo[scaled] - 0.5 * ds * ds) * erfcx(ds / SQRT_TWO)
-    out = first - second
-    if np.isscalar(y) and np.isscalar(tau):
-        return float(out)
-    return out
+    return _result(first - second)

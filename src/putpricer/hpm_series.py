@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .special_functions import SQRT_PI, erfc, erfcx
+from .special_functions import SQRT_PI, _result, erfc, erfcx
 from .transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -210,22 +210,16 @@ def _check_coordinate(value, name):
     return arr
 
 
-def _scalar_like(out, *refs):
-    if all(np.isscalar(ref) or getattr(ref, "ndim", 1) == 0 for ref in refs):
-        return float(out if np.ndim(out) == 0 else out[0])
-    return out
-
-
 def phi_term(n, xi, params: GeneralizedReducedParams):
     """f_n(xi) of the generalized family: the w^n-stripped series factor."""
     z = _check_term_args(n, xi, "phi_term")
-    return _scalar_like(_term(_phi_polys, n, z, params.k1, params.k2), xi)
+    return _result(_term(_phi_polys, n, z, params.k1, params.k2), np.shape(xi))
 
 
 def single_asset_term(n, z, k):
     """f_n(z) of the single-asset family; equals phi_term at k1 = k2 = k."""
     z_arr = _check_term_args(n, z, "single_asset_term")
-    return _scalar_like(_term(_single_polys, n, z_arr, k), z)
+    return _result(_term(_single_polys, n, z_arr, k), np.shape(z))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +233,7 @@ def hpm1_reduced(x, tau, k):
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm1_reduced: tau must be nonnegative")
-    out = np.maximum(np.exp(-k * tau_arr) - np.exp(x_arr), 0.0)
-    if np.isscalar(x) and np.isscalar(tau):
-        return float(out)
-    return out
+    return _result(np.maximum(np.exp(-k * tau_arr) - np.exp(x_arr), 0.0))
 
 
 def _check_order(order):
@@ -264,13 +255,13 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm_reduced_sum: tau must be nonnegative")
+    shape = np.broadcast(y_arr, tau_arr).shape
     expired = tau_arr == 0.0
     any_expired = bool(expired.any())
     if any_expired:
         payoff = np.maximum(1.0 - np.exp(y_arr), 0.0)
         if expired.all():
-            out = np.broadcast_to(payoff, np.broadcast(y_arr, tau_arr).shape).copy()
-            return _scalar_like(out, y, tau)
+            return _result(np.broadcast_to(payoff, shape).copy())
         # any finite point stands in where the payoff replaces the series
         y_arr = np.where(expired, 0.0, y_arr)
         tau_arr = np.where(expired, 1.0, tau_arr)
@@ -279,7 +270,7 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
     total = _series(z, w, order, params.k1, params.k2)
     if any_expired:
         total = np.where(expired, payoff, total)
-    return _scalar_like(total, y, tau)
+    return _result(total, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +278,24 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
 # ---------------------------------------------------------------------------
 
 
-def price_single_hpm1_array(spec: VanillaOptionSpec, spot=None, valuation_time=None):
-    """Naive-series put price K max(e^{-k tau} - S/K, 0) over arrays of spot and valuation time.
+def price_single_hpm1(spec: VanillaOptionSpec, spot=None, valuation_time=None):
+    """Naive-series put price K max(e^{-k tau} - S/K, 0).
 
-    Fields not given come from `spec`; spot 0 is allowed.
+    Takes broadcastable arrays of spot and valuation time if given; fields
+    not given come from `spec`.  Spot 0 is allowed.
     """
     x, tau, k = to_dimensionless_arrays(spec, spot, valuation_time)
     return spec.strike * hpm1_reduced(x, tau, k)
 
 
-def price_single_hpm1(spec: VanillaOptionSpec) -> float:
-    """Naive-series put price K max(e^{-k tau} - S/K, 0)."""
-    return float(price_single_hpm1_array(spec))
+def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER,
+                      spot=None, valuation_time=None):
+    """Smoothed-series put price, clamped to be nonnegative.
 
-
-def price_single_hpm2_array(spec: VanillaOptionSpec, order: int = MAX_ORDER,
-                            spot=None, valuation_time=None):
-    """Smoothed-series put price, clamped to be nonnegative, over arrays of spot and valuation time.
-
-    Fields not given come from `spec`.  At spot 0 before expiry the
-    even-order series tends to -inf and clamps to 0; the odd-order one is
-    unbounded and raises.
+    Takes broadcastable arrays of spot and valuation time if given; fields
+    not given come from `spec`.  At spot 0 before expiry the even-order
+    series tends to -inf and clamps to 0; the odd-order one is unbounded
+    and raises.
     """
     _check_order(order)
     x, tau, k = to_dimensionless_arrays(spec, spot, valuation_time)
@@ -322,16 +310,11 @@ def price_single_hpm2_array(spec: VanillaOptionSpec, order: int = MAX_ORDER,
         x = np.where(at_zero, 0.0, x)
     v = hpm_reduced_sum(x, tau, GeneralizedReducedParams(k1=k, k2=k), order)
     price = np.maximum(spec.strike * v, 0.0)
-    return np.where(at_zero, 0.0, price) if any_zero else price
+    return _result(np.where(at_zero, 0.0, price) if any_zero else price)
 
 
-def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER) -> float:
-    """Smoothed-series put price, clamped to be nonnegative."""
-    return float(price_single_hpm2_array(spec, order))
-
-
-def price_basket_hpm_array(spec: BasketSpec, order: int = MAX_ORDER, spots=None):
-    """Series price of a geometric basket put over spot vectors along the last axis of `spots`.
+def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER, spots=None):
+    """Series price of a geometric basket put, over spot vectors along the last axis of `spots`.
 
     The basket reduces to the dimensionless (k1, k2) equation in the
     coordinate xi = sum alpha_i ln(S_i/K).  Fields other than the spots
@@ -339,21 +322,16 @@ def price_basket_hpm_array(spec: BasketSpec, order: int = MAX_ORDER, spots=None)
     """
     _check_order(order)
     if spec.time_remaining == 0.0:
-        return np.maximum(spec.strike - geometric_mean(spec, spots), 0.0)
+        return _result(np.maximum(spec.strike - geometric_mean(spec, spots), 0.0))
     red = reduce_basket(spec)
     tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
     xi = basket_coordinate(spec, spots)
     v = hpm_reduced_sum(xi, tau, basket_reduced_params(red, spec.rate), order)
-    return np.maximum(spec.strike * v, 0.0)
+    return _result(np.maximum(spec.strike * v, 0.0))
 
 
-def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER) -> float:
-    """Series price of a geometric basket put; see `price_basket_hpm_array`."""
-    return float(price_basket_hpm_array(spec, order))
-
-
-def price_quanto_hpm_array(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None):
-    """Series price of a quanto put over broadcastable arrays of s1 and s2.
+def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None):
+    """Series price of a quanto put, over broadcastable arrays of s1 and s2 if given.
 
     The reduced strike E/S2 is taken at valuation time, so the pipeline is
     deterministic; accuracy is judged against the exact formula.  Fields
@@ -362,16 +340,11 @@ def price_quanto_hpm_array(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2
     _check_order(order)
     s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
     if spec.time_remaining == 0.0:
-        return s2 * np.maximum(spec.strike - s1, 0.0)
+        return _result(s2 * np.maximum(spec.strike - s1, 0.0))
     red = reduce_quanto(spec)
     params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
     y = _log_moneyness(s1, spec.strike)
     tau = 0.5 * red.sigma_hat_sq * spec.time_remaining
     v = hpm_reduced_sum(y, tau, params, order)
     strike_reduced = spec.strike / s2
-    return np.maximum(s2 * s2 * strike_reduced * v, 0.0)
-
-
-def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER) -> float:
-    """Series price of a quanto put; see `price_quanto_hpm_array`."""
-    return float(price_quanto_hpm_array(spec, order))
+    return _result(np.maximum(s2 * s2 * strike_reduced * v, 0.0))

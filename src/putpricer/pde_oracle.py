@@ -21,6 +21,7 @@ import numpy as np
 
 from . import hpm_series
 from .exact_pricing import reduced_exact_u
+from .special_functions import _result
 from .transforms import GeneralizedReducedParams
 
 log = logging.getLogger(__name__)
@@ -46,22 +47,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Dense solve output: values[m, j] = u(y[j], taus[m])."""
+    """Solve output: final[j] = u(y[j], tau_final), and the least value over all levels."""
 
     grid: GridSpec
     params: GeneralizedReducedParams
     y: np.ndarray
-    taus: np.ndarray
-    values: np.ndarray
+    final: np.ndarray
     min_value: float
 
     def value_at_zero(self) -> float:
         """Final-time value at y = 0, which sits midway between two nodes."""
         j = int(np.searchsorted(self.y, 0.0))
-        return 0.5 * float(self.values[-1, j - 1] + self.values[-1, j])
-
-    def interior_final(self) -> np.ndarray:
-        return self.values[-1, 1:-1]
+        return 0.5 * float(self.final[j - 1] + self.final[j])
 
 
 def _payoff(y):
@@ -164,30 +161,26 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
     eb = 1.0 + 0.5 * dtau * b_coef
     ec = 0.5 * dtau * c_coef
 
-    values = np.empty((grid.n_steps + 1, grid.ny + 2))
+    # one time level is kept: u is overwritten in place step by step
     u = _payoff(y) if initial is None else np.asarray(initial(y), dtype=float)
     u = u.astype(float).copy()
     u[0] = left[0]
     u[-1] = right[0]
-    values[0] = u
+    min_value = u.min()
 
     for step in range(1, grid.n_steps + 1):
         rhs = ea * u[:-2] + eb * u[1:-1] + ec * u[2:]
         rhs[0] -= lower * left[step]
         rhs[-1] -= upper * right[step]
-        interior = _thomas_solve(lower, cp, denom, rhs.tolist())
-        u = np.empty(grid.ny + 2)
+        u[1:-1] = _thomas_solve(lower, cp, denom, rhs.tolist())
         u[0] = left[step]
         u[-1] = right[step]
-        u[1:-1] = interior
-        values[step] = u
+        min_value = np.minimum(min_value, u.min())
 
-    min_value = float(values.min())
     if min_value < -1e-12:
         log.info("cn_solve: solution dipped to %.3e below zero (scheme is not "
                  "positivity preserving; diagnostic only)", min_value)
-    return PdeSolution(grid=grid, params=params, y=y, taus=taus, values=values,
-                       min_value=min_value)
+    return PdeSolution(grid=grid, params=params, y=y, final=u, min_value=float(min_value))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +222,7 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
         resid = resid + 2.0 * (params.k1 - 1.0) * w * (g_p - g_m) / (2.0 * h)
     if n >= 2:
         resid = resid - 2.0 * params.k2 * w * w * u(n - 2, z_arr, w)
-    if np.isscalar(z):
-        return float(resid)
-    return resid
+    return _result(resid)
 
 
 def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,

@@ -44,10 +44,16 @@ def _as_array(x, name):
     return arr
 
 
-def _restore(out, x):
-    if isinstance(x, np.ndarray):
-        return out
-    return float(out)
+def _result(out, shape=None):
+    """The return rule of every evaluator: a Python float where the result's
+    shape is (), the ndarray otherwise.
+
+    `shape` (the broadcast shape of the inputs) undoes an `np.atleast_1d`
+    promotion inside the body.
+    """
+    if shape is not None:
+        out = np.reshape(out, shape)
+    return out if np.ndim(out) else float(out)
 
 
 def _exp_neg_sq(x):
@@ -145,7 +151,7 @@ def erf(x):
     big = ~small
     sub[big] = np.sign(a[big]) * (1.0 - _erfc_nonneg(np.abs(a[big])))
     out[fin] = sub
-    return _restore(out, x)
+    return _result(out)
 
 
 def erfc(x):
@@ -166,7 +172,7 @@ def erfc(x):
     if pos.any():
         sub[pos] = _erfc_nonneg(a[pos])
     out[fin] = sub
-    return _restore(out, x)
+    return _result(out)
 
 
 def erfcx(x):
@@ -193,11 +199,9 @@ def erfcx(x):
     if pos.any():
         sub[pos] = _erfcx_nonneg(a[pos])
     out[fin] = sub
-    return _restore(out, x)
+    return _result(out)
 
 
 def normal_cdf(v):
     """Standard normal CDF N(v) = erfc(-v/sqrt(2)) / 2."""
-    arr = _as_array(v, "normal_cdf")
-    out = 0.5 * erfc(-arr / SQRT_TWO)
-    return _restore(np.asarray(out, dtype=float), v)
+    return 0.5 * erfc(-_as_array(v, "normal_cdf") / SQRT_TWO)

@@ -1,10 +1,15 @@
 """Acceptance checks: every formula verified against an independent route.
 
-Each check pits one implementation path against an oracle that shares no
-code with it: finite-difference PDE solves against the closed forms, the
-series terms against the recursion and against deep-tail combinatorics,
-the special functions against series/quadrature.  `run_all` powers both
-the CLI `validate` command and the acceptance test module.
+Each check pits one implementation path against an independent route:
+finite-difference PDE solves against the closed forms, the series terms
+against the recursion and against deep-tail combinatorics, the special
+functions against series/quadrature.  A route is independent of the
+formula it checks, not of every line of the library: the CN solver takes
+its Dirichlet values from `reduced_exact_u`, and every quanto check (the CN
+solve, the internal-consistency route, the error surface) starts from
+`reduce_quanto`'s parameters, so nothing here checks that reduction against
+the two-asset model itself.  `run_all` powers both the CLI `validate`
+command and the acceptance test module.
 
 Frozen regression constants were established once with the oracles in this
 module and are asserted with 5% slack thereafter.
@@ -14,19 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import hpm_series
-from .exact_pricing import (
-    basket_put_array,
-    basket_put_exact,
-    bs_put,
-    bs_put_array,
-    quanto_put_array,
-    quanto_put_exact,
-    reduced_exact_u,
-)
+from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
 from .pde_oracle import GridSpec, cn_solve, fd_residual, richardson_residual
 from .special_functions import erf, normal_cdf
 from .transforms import (
@@ -270,8 +268,8 @@ def check_degenerations(profile="default"):
 
 def _hpm2_max_error(order, grid):
     atm = VanillaOptionSpec(spot=40.0, **SECTION5)
-    series = hpm_series.price_single_hpm2_array(atm, order, spot=grid)
-    exact = bs_put_array(atm, spot=grid)
+    series = hpm_series.price_single_hpm2(atm, order, spot=grid)
+    exact = bs_put(atm, spot=grid)
     return float(np.abs(series - exact).max())
 
 
@@ -284,9 +282,9 @@ def check_hpm2_accuracy(profile="default"):
 
     # order-monotonicity holds where truncation at order 6 is small; on the
     # full [1, 100] grid the truncation error of orders 1..6 dominates near
-    # S -> 0 (ROADMAP item 3, mpmath table) and the clamped odd/even partial
-    # sums alternate, so the global max cannot decrease monotonically
-    # (documented diagnostic, see the region check)
+    # S -> 0 (see the mpmath oracle tests/test_hpm_series.py::term_taylor_oracle)
+    # and the clamped odd/even partial sums alternate, so the global max
+    # cannot decrease monotonically (documented diagnostic, see the region check)
     region = np.linspace(20.0, 100.0, 81)
     errs_region = [_hpm2_max_error(order, region) for order in range(1, 7)]
     monotone_region = all(b < a for a, b in zip(errs_region, errs_region[1:]))
@@ -336,14 +334,14 @@ def check_error_surfaces(profile="default"):
     qspec = _fig5_quanto()
     s1, s2 = grid[:, None], grid[None, :]
     worst_q = float(np.abs(
-        hpm_series.price_quanto_hpm_array(qspec, 6, s1, s2)
-        - quanto_put_array(qspec, s1, s2)
+        hpm_series.price_quanto_hpm(qspec, 6, s1, s2)
+        - quanto_put_exact(qspec, s1, s2)
     ).max())
     bspec = _fig3_basket()
     spots = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
     worst_b = float(np.abs(
-        hpm_series.price_basket_hpm_array(bspec, 6, spots=spots)
-        - basket_put_array(bspec, spots)
+        hpm_series.price_basket_hpm(bspec, 6, spots=spots)
+        - basket_put_exact(bspec, spots)
     ).max())
     bound_q = 1.05 * EPS2_QUANTO_SURFACE
     bound_b = 1.05 * EPS3_BASKET_SURFACE
@@ -356,7 +354,7 @@ def check_error_surfaces(profile="default"):
 
     # exact quanto value rises with the exchange-rate ratio while the
     # per-unit bracket stays positive (in-the-money region)
-    prices = quanto_put_array(qspec, np.array([[20.0], [27.5], [35.0]]), s2)
+    prices = quanto_put_exact(qspec, np.array([[20.0], [27.5], [35.0]]), s2)
     monotone = bool((np.diff(prices, axis=1) > 0).all())
     results.append(CheckResult("quanto-s2-monotonicity", float(monotone),
                                "prices strictly increase in S2 for S1 <= 35",
@@ -443,28 +441,21 @@ def check_tail_asymptotics(profile="default"):
     pairs = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(2)]
     singles = list(rng.uniform(0.1, 3.0, 2))
 
+    # (f_n as a function of (n, z), k1, k2): both term families, one loop
+    terms = [(partial(hpm_series.phi_term, params=GeneralizedReducedParams(float(k1), float(k2))),
+              k1, k2) for k1, k2 in pairs]
+    terms += [(partial(hpm_series.single_asset_term, k=float(k)), k, k) for k in singles]
+
     worst_left = 0.0
     worst_right = 0.0
     worst_monomial = 0.0
-    for k1, k2 in pairs:
-        params = GeneralizedReducedParams(float(k1), float(k2))
+    for term, k1, k2 in terms:
         for n in range(hpm_series.MAX_ORDER):
-            f_left = hpm_series.phi_term(n, -12.0, params)
+            f_left = term(n, -12.0)
             worst_left = max(worst_left, abs(
                 f_left - _deep_itm_asymptote(n, -12.0, k1, k2)
             ))
-            worst_right = max(worst_right, abs(hpm_series.phi_term(n, 12.0, params)))
-            monomial = -((-12.0) ** (n + 1)) / math.factorial(n + 1)
-            worst_monomial = max(worst_monomial, abs(f_left - monomial))
-    for k in singles:
-        for n in range(hpm_series.MAX_ORDER):
-            f_left = hpm_series.single_asset_term(n, -12.0, float(k))
-            worst_left = max(worst_left, abs(
-                f_left - _deep_itm_asymptote(n, -12.0, k, k)
-            ))
-            worst_right = max(worst_right, abs(
-                hpm_series.single_asset_term(n, 12.0, float(k))
-            ))
+            worst_right = max(worst_right, abs(term(n, 12.0)))
             monomial = -((-12.0) ** (n + 1)) / math.factorial(n + 1)
             worst_monomial = max(worst_monomial, abs(f_left - monomial))
 

@@ -1,12 +1,14 @@
-"""The array forms of the pricers against their scalar spec-level wrappers.
+"""One broadcast pricer call against per-element calls, and the return rule.
 
 Figures price whole grids in one call, so every element of an array result
-must carry the same bits as the scalar pricer on that one contract; the
-figure CSVs are pinned by sha256 on top of that.
+must carry the same bits as the same pricer called on that one contract;
+the figure CSVs are pinned by sha256 on top of that.  Every evaluator
+returns a Python float for a result of shape () and an ndarray otherwise.
 """
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from putpricer import hpm_series
 from putpricer.cli import main
-from putpricer.exact_pricing import (
-    basket_put_array,
-    basket_put_exact,
-    bs_put,
-    bs_put_array,
-    quanto_put_array,
-    quanto_put_exact,
-)
-from putpricer.exact_pricing import reduced_exact_u
-from putpricer.hpm_series import hpm_reduced_sum
+from putpricer.exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
+from putpricer.hpm_series import hpm1_reduced, hpm_reduced_sum, phi_term, single_asset_term
+from putpricer.pde_oracle import fd_residual
 from putpricer.special_functions import SQRT_PI, SQRT_TWO, erfc, erfcx, normal_cdf
 from putpricer.transforms import (
     BasketSpec,
@@ -52,7 +47,7 @@ def test_default_figure_bytes_are_pinned(figure, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# array path == scalar path, bit for bit
+# one broadcast call == per-element calls, bit for bit
 # ---------------------------------------------------------------------------
 
 price = st.floats(20.0, 120.0)
@@ -71,20 +66,20 @@ def valuation_times(draw, maturity):
 @given(data=st.data(), strike=price, money=moneyness, rate=st.floats(0.0, 0.1),
        vol=st.floats(0.1, 0.6), maturity=st.floats(0.05, 2.0), order=orders)
 @settings(max_examples=40, deadline=None)
-def test_single_array_matches_scalar(data, strike, money, rate, vol, maturity, order):
+def test_single_broadcast_matches_per_element(data, strike, money, rate, vol, maturity,
+                                              order):
     times = np.array([data.draw(valuation_times(maturity)) for _ in range(3)])
     spots = strike * np.exp(np.array(money))
     base = VanillaOptionSpec(spot=strike, strike=strike, rate=rate, vol=vol,
                              maturity=maturity)
     grid = {"spot": spots[:, None], "valuation_time": times}
-    exact = bs_put_array(base, **grid)
-    hpm1 = hpm_series.price_single_hpm1_array(base, **grid)
-    hpm2 = hpm_series.price_single_hpm2_array(base, order, **grid)
+    exact = bs_put(base, **grid)
+    hpm1 = hpm_series.price_single_hpm1(base, **grid)
+    hpm2 = hpm_series.price_single_hpm2(base, order, **grid)
     assert exact.shape == hpm1.shape == hpm2.shape == (spots.size, times.size)
     for i, s in enumerate(spots.tolist()):
         for j, t in enumerate(times.tolist()):
-            spec = VanillaOptionSpec(spot=s, strike=strike, rate=rate, vol=vol,
-                                     maturity=maturity, valuation_time=t)
+            spec = replace(base, spot=s, valuation_time=t)
             assert exact[i, j] == bs_put(spec)
             assert hpm1[i, j] == hpm_series.price_single_hpm1(spec)
             assert hpm2[i, j] == hpm_series.price_single_hpm2(spec, order)
@@ -100,18 +95,18 @@ def test_single_array_zero_spot_limits(data, strike, rate, vol, maturity, order)
                              maturity=maturity, valuation_time=t)
     zero = np.array([0.0])
     if t_rem == 0.0:
-        assert bs_put_array(spec, spot=zero)[0] == strike
-        assert hpm_series.price_single_hpm2_array(spec, order, spot=zero)[0] == strike
+        assert bs_put(spec, spot=zero)[0] == strike
+        assert hpm_series.price_single_hpm2(spec, order, spot=zero)[0] == strike
         return
-    assert bs_put_array(spec, spot=zero)[0] == strike * math.exp(-rate * t_rem)
+    assert bs_put(spec, spot=zero)[0] == strike * math.exp(-rate * t_rem)
     k, tau = 2.0 * rate / (vol * vol), 0.5 * vol * vol * t_rem
-    assert hpm_series.price_single_hpm1_array(spec, spot=zero)[0] == pytest.approx(
+    assert hpm_series.price_single_hpm1(spec, spot=zero)[0] == pytest.approx(
         strike * math.exp(-k * tau), rel=1e-15)
     if order % 2:
         with pytest.raises(ValueError, match="even order"):
-            hpm_series.price_single_hpm2_array(spec, order, spot=zero)
+            hpm_series.price_single_hpm2(spec, order, spot=zero)
     else:
-        assert hpm_series.price_single_hpm2_array(spec, order, spot=zero)[0] == 0.0
+        assert hpm_series.price_single_hpm2(spec, order, spot=zero)[0] == 0.0
 
 
 @given(data=st.data(), strike=price, m1=moneyness, m2=moneyness,
@@ -119,8 +114,8 @@ def test_single_array_zero_spot_limits(data, strike, rate, vol, maturity, order)
        corr=st.floats(-0.8, 0.9), rate=st.floats(0.0, 0.1),
        maturity=st.floats(0.05, 2.0), order=orders)
 @settings(max_examples=40, deadline=None)
-def test_basket_array_matches_scalar(data, strike, m1, m2, weight, sig, corr, rate,
-                                     maturity, order):
+def test_basket_broadcast_matches_per_element(data, strike, m1, m2, weight, sig, corr, rate,
+                                              maturity, order):
     s1, s2 = sig
     cov = [[s1 * s1, corr * s1 * s2], [corr * s1 * s2, s2 * s2]]
     fields = dict(weights=[weight, 1.0 - weight], dividends=[0.01, 0.0], covariance=cov,
@@ -129,11 +124,11 @@ def test_basket_array_matches_scalar(data, strike, m1, m2, weight, sig, corr, ra
     base = BasketSpec(spots=[strike, strike], **fields)
     g1, g2 = np.meshgrid(strike * np.exp(m1), strike * np.exp(m2), indexing="ij")
     spots = np.stack([g1, g2], axis=-1)
-    exact = basket_put_array(base, spots)
-    series = hpm_series.price_basket_hpm_array(base, order, spots)
+    exact = basket_put_exact(base, spots)
+    series = hpm_series.price_basket_hpm(base, order, spots)
     assert exact.shape == series.shape == g1.shape
     for index in np.ndindex(g1.shape):
-        spec = BasketSpec(spots=spots[index].tolist(), **fields)
+        spec = replace(base, spots=spots[index].tolist())
         assert exact[index] == basket_put_exact(spec)
         assert series[index] == hpm_series.price_basket_hpm(spec, order)
 
@@ -143,8 +138,8 @@ def test_basket_array_matches_scalar(data, strike, m1, m2, weight, sig, corr, ra
        rho=st.floats(-1.0, 0.5), rates=st.tuples(*[st.floats(0.0, 0.1)] * 3),
        maturity=st.floats(0.05, 2.0), order=orders)
 @settings(max_examples=40, deadline=None)
-def test_quanto_array_matches_scalar(data, strike, m1, s2, sigma1, sigma2, rho, rates,
-                                     maturity, order):
+def test_quanto_broadcast_matches_per_element(data, strike, m1, s2, sigma1, sigma2, rho,
+                                              rates, maturity, order):
     r1, r2, q = rates
     fields = dict(sigma1=sigma1, sigma2=sigma2, rho=rho, r1=r1, r2=r2, q=q,
                   strike=strike, maturity=maturity,
@@ -152,12 +147,12 @@ def test_quanto_array_matches_scalar(data, strike, m1, s2, sigma1, sigma2, rho, 
     base = QuantoSpec(s1=strike, s2=1.0, **fields)
     s1_axis = strike * np.exp(np.array(m1))[:, None]
     s2_axis = np.array(s2)[None, :]
-    exact = quanto_put_array(base, s1_axis, s2_axis)
-    series = hpm_series.price_quanto_hpm_array(base, order, s1_axis, s2_axis)
+    exact = quanto_put_exact(base, s1_axis, s2_axis)
+    series = hpm_series.price_quanto_hpm(base, order, s1_axis, s2_axis)
     assert exact.shape == series.shape == (len(m1), len(s2))
     for i, a in enumerate(s1_axis[:, 0].tolist()):
         for j, b in enumerate(s2):
-            spec = QuantoSpec(s1=a, s2=b, **fields)
+            spec = replace(base, s1=a, s2=b)
             assert exact[i, j] == quanto_put_exact(spec)
             assert series[i, j] == hpm_series.price_quanto_hpm(spec, order)
 
@@ -165,20 +160,20 @@ def test_quanto_array_matches_scalar(data, strike, m1, s2, sigma1, sigma2, rho, 
 def test_array_forms_reject_what_specs_reject():
     spec = VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05, vol=0.3, maturity=0.5)
     with pytest.raises(ValueError, match="nonnegative"):
-        bs_put_array(spec, spot=np.array([10.0, -1.0]))
+        bs_put(spec, spot=np.array([10.0, -1.0]))
     with pytest.raises(ValueError, match="exceed maturity"):
-        bs_put_array(spec, valuation_time=np.array([0.0, 0.6]))
+        bs_put(spec, valuation_time=np.array([0.0, 0.6]))
     basket = BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0],
                         covariance=[[0.01, 0.0], [0.0, 0.09]], rate=0.05, strike=40.0,
                         maturity=0.5)
     with pytest.raises(ValueError, match="2 assets"):
-        basket_put_array(basket, np.full((3, 3), 40.0))
+        basket_put_exact(basket, np.full((3, 3), 40.0))
     with pytest.raises(ValueError, match="positive"):
-        hpm_series.price_basket_hpm_array(basket, spots=np.array([[40.0, 0.0]]))
+        hpm_series.price_basket_hpm(basket, spots=np.array([[40.0, 0.0]]))
     quanto = QuantoSpec(s1=40.0, s2=40.0, sigma1=0.1, sigma2=0.3, rho=1.0, r1=0.03,
                         r2=0.05, q=0.0, strike=40.0, maturity=0.5)
     with pytest.raises(ValueError, match="finite"):
-        quanto_put_array(quanto, s2=np.array([np.nan]))
+        quanto_put_exact(quanto, s2=np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +278,7 @@ def _old_reduced_exact_u(y, tau, params):
     scaled_arg = np.where(d2 > 0, expo - 0.5 * d2 * d2, 0.0)
     scaled = np.where(d2 > 0, 0.5 * np.exp(scaled_arg) * erfcx(d2 / SQRT_TWO), 0.0)
     out = first - (plain + scaled)
-    if np.isscalar(y) and np.isscalar(tau):
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def assert_same_bits(got, want):
@@ -394,3 +387,69 @@ def test_reduced_exact_evaluates_each_branch_only_where_used(monkeypatch):
     assert 0 < plain < y.size
     # N(-d1) everywhere, N(-d2) where d2 <= 0, erfcx where d2 > 0
     assert calls == {"normal_cdf": [y.size, plain], "erfcx": [y.size - plain]}
+
+
+# ---------------------------------------------------------------------------
+# the return rule: a float for a result of shape (), an ndarray otherwise
+# ---------------------------------------------------------------------------
+
+SINGLE = VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05, vol=0.3, maturity=0.5)
+BASKET = BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0],
+                    covariance=[[0.01, 0.0], [0.0, 0.09]], rate=0.05, strike=40.0,
+                    maturity=0.5)
+QUANTO = QuantoSpec(s1=40.0, s2=40.0, sigma1=0.1, sigma2=0.3, rho=1.0, r1=0.03,
+                    r2=0.05, q=0.0, strike=40.0, maturity=0.5)
+# (pricer, spec, override giving a shape-() result, override giving shape (3,))
+PRICERS = [
+    (bs_put, SINGLE, {"spot": np.array(41.0)}, {"spot": np.array([30.0, 40.0, 50.0])}),
+    (hpm_series.price_single_hpm1, SINGLE, {"spot": np.array(41.0)},
+     {"spot": np.array([30.0, 40.0, 50.0])}),
+    (hpm_series.price_single_hpm2, SINGLE, {"valuation_time": np.array(0.1)},
+     {"valuation_time": np.array([0.0, 0.2, 0.5])}),
+    (basket_put_exact, BASKET, {"spots": np.array([38.0, 41.0])},
+     {"spots": np.array([[30.0, 35.0], [40.0, 40.0], [50.0, 45.0]])}),
+    (hpm_series.price_basket_hpm, BASKET, {"spots": np.array([38.0, 41.0])},
+     {"spots": np.array([[30.0, 35.0], [40.0, 40.0], [50.0, 45.0]])}),
+    (quanto_put_exact, QUANTO, {"s1": np.array(41.0)}, {"s2": np.array([1.0, 2.0, 3.0])}),
+    (hpm_series.price_quanto_hpm, QUANTO, {"s2": np.array(2.0)},
+     {"s1": np.array([30.0, 40.0, 50.0])}),
+]
+
+
+@pytest.mark.parametrize("expired", [False, True], ids=["live", "expired"])
+@pytest.mark.parametrize("pricer, spec, point, vector", PRICERS,
+                         ids=[case[0].__name__ for case in PRICERS])
+def test_pricers_follow_the_return_rule(pricer, spec, point, vector, expired):
+    if expired:
+        spec = replace(spec, valuation_time=spec.maturity)
+    assert type(pricer(spec)) is float
+    assert type(pricer(spec, **point)) is float
+    out = pricer(spec, **vector)
+    assert type(out) is np.ndarray and out.shape == (3,)
+
+
+PARAMS = GeneralizedReducedParams(0.7, 1.3)
+EVALUATORS = {
+    "reduced_exact_u": lambda x: reduced_exact_u(x, 0.2, PARAMS),
+    "reduced_exact_u-tau": lambda x: reduced_exact_u(0.3, x, PARAMS),
+    "hpm_reduced_sum": lambda x: hpm_reduced_sum(x, 0.2, PARAMS),
+    "hpm_reduced_sum-tau": lambda x: hpm_reduced_sum(-0.3, x, PARAMS),
+    "hpm_reduced_sum-expired": lambda x: hpm_reduced_sum(x, 0.0, PARAMS),
+    "hpm1_reduced": lambda x: hpm1_reduced(x, 0.2, 0.7),
+    "phi_term": lambda x: phi_term(3, x, PARAMS),
+    "single_asset_term": lambda x: single_asset_term(3, x, 0.7),
+    "fd_residual": lambda x: fd_residual(3, PARAMS, x, 0.3, 0.01),
+}
+
+
+@pytest.mark.parametrize("x, shape", [
+    (0.3, ()), (np.float64(0.3), ()), (np.array(0.3), ()),
+    ([0.3], (1,)), ((0.1, 0.3), (2,)), (np.array([0.1, 0.3, 1.0]), (3,)),
+], ids=["float", "float64", "0-d", "list", "tuple", "array"])
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_evaluators_follow_the_return_rule(name, x, shape):
+    out = EVALUATORS[name](x)
+    if shape == ():
+        assert type(out) is float
+    else:
+        assert type(out) is np.ndarray and out.shape == shape

@@ -52,9 +52,12 @@ def test_zero_is_cell_centered():
 
 
 def test_initial_row_is_payoff():
-    sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=64, n_steps=8))
-    payoff = np.maximum(1.0 - np.exp(sol.y), 0.0)
-    assert np.allclose(sol.values[0][1:-1], payoff[1:-1], rtol=0, atol=1e-15)
+    # only the final row is kept, so the default start is compared through it
+    grid = GridSpec(ny=64, n_steps=8)
+    sol = cn_solve(FIG1_PARAMS, FIG1_TAU, grid)
+    reference = cn_solve(FIG1_PARAMS, FIG1_TAU, grid,
+                         initial=lambda y: np.maximum(1.0 - np.exp(y), 0.0))
+    assert np.array_equal(sol.final, reference.final)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +74,8 @@ def test_constant_solution_preserved_without_reaction():
         initial=lambda y: np.full_like(y, c),
         boundary=(lambda tau: c, lambda tau: c),
     )
-    assert np.abs(sol.values - c).max() == 0.0
+    assert np.abs(sol.final - c).max() == 0.0
+    assert sol.min_value == c
 
 
 def test_matches_closed_form_at_origin():
@@ -85,7 +89,7 @@ def test_second_order_convergence():
     for ny in (100, 200, 400):
         sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=ny, n_steps=ny))
         ref = reduced_exact_u(sol.y[1:-1], FIG1_TAU, FIG1_PARAMS)
-        errors.append(np.abs(sol.interior_final() - ref).max())
+        errors.append(np.abs(sol.final[1:-1] - ref).max())
     for coarse, fine in zip(errors, errors[1:]):
         order = math.log2(coarse / fine)
         assert 1.8 <= order <= 2.2
@@ -97,12 +101,12 @@ def test_asymptote_boundary_mode_agrees():
     sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=200, n_steps=200),
                    boundary="asymptote")
     ref = reduced_exact_u(sol.y[1:-1], FIG1_TAU, FIG1_PARAMS)
-    assert np.abs(sol.interior_final() - ref).max() < 5e-4
+    assert np.abs(sol.final[1:-1] - ref).max() < 5e-4
 
 
 def test_nonnegativity_monitor_records_minimum():
     sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=200, n_steps=200))
-    assert sol.min_value <= sol.values.min() + 1e-15
+    assert sol.min_value <= sol.final.min()
     assert sol.min_value > -1e-6  # diagnostic, not an assertion of the scheme
 
 
@@ -123,7 +127,7 @@ def test_exact_boundary_equals_scalar_callable_pair(params):
 
     pair = (scalar_exact(float(sol.y[0])), scalar_exact(float(sol.y[-1])))
     reference = cn_solve(params, 0.2, grid, boundary=pair)
-    assert np.array_equal(sol.values, reference.values)
+    assert np.array_equal(sol.final, reference.final)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 800])

@@ -223,11 +223,22 @@ def test_nan_rejected(fn):
         fn(np.array([0.0, np.nan]))
 
 
+# (input, result shape): shape () comes back as a float, any other as an ndarray
+SCALAR_AND_ARRAY_INPUTS = [
+    (0.25, ()), (np.float64(0.5), ()), (np.array(0.5), ()),
+    (np.array([0.1, 0.2]), (2,)), ([0.1, 0.2], (2,)), ((0.3,), (1,)), ([0.4], (1,)),
+]
+
+
 @pytest.mark.parametrize("fn", [erf, erfc, erfcx, normal_cdf])
 def test_scalar_in_scalar_out(fn):
-    assert isinstance(fn(0.25), float)
-    out = fn(np.array([0.1, 0.2]))
-    assert isinstance(out, np.ndarray) and out.shape == (2,)
+    for x, shape in SCALAR_AND_ARRAY_INPUTS:
+        out = fn(x)
+        if shape == ():
+            assert type(out) is float
+        else:
+            assert type(out) is np.ndarray and out.shape == shape
+            assert np.array_equal(out, fn(np.asarray(x)))
 
 
 @given(st.floats(min_value=-6.0, max_value=6.0))
