@@ -9,6 +9,7 @@ failure, 2 bad input, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -356,9 +357,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    # built on the first call of a process and reused: parse_args leaves the tree unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

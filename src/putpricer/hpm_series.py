@@ -37,7 +37,13 @@ from .transforms import (
     QuantoSpec,
     VanillaOptionSpec,
     _field,
+    _is_float,
+    _libm,
+    _live_time,
     _log_moneyness,
+    _payoff_everywhere,
+    _require,
+    _square,
     basket_coordinate,
     basket_reduced_params,
     geometric_mean,
@@ -73,24 +79,58 @@ def _sides(z):
         yield right, zr, lambda p, q: decay * (p * _INV_SQRT_PI - q * scaled)
 
 
-def _term(polys, n, z, *coefs):
-    """f_n(z) of one family, with (P_n, Q_n) = polys(n, zs, *coefs) on each side."""
-    out = np.empty(z.shape)
+def _on_side(coef, mask):
+    """A coefficient on one side's points: a float as is, an array broadcast like z and masked."""
+    return coef if _is_float(coef) else np.broadcast_to(coef, mask.shape)[mask]
+
+
+def _with_coefs(z, *coefs):
+    """z broadcast against the array coefficients (one contract per element)."""
+    shapes = [np.shape(c) for c in coefs if not _is_float(c)]
+    return np.broadcast_to(z, np.broadcast_shapes(z.shape, *shapes)) if shapes else z
+
+
+# The order-5 factors carry k^5 times coefficients up to ~1e4, so they
+# overflow once |k| nears 1e60: a float power raises OverflowError there, and
+# an array one returns inf or nan without a word.  Such k are refused first.
+_MAX_COEF = 1e50
+
+
+def _check_coefs(*coefs):
+    for coef in coefs:
+        _require(abs(coef) <= _MAX_COEF,
+                 "series terms overflow: |k1|, |k2| must not exceed 1e50, got {}", coef)
+
+
+def _terms(polys, orders, z, *coefs):
+    """f_n(z) of one family for each n in `orders`, stacked on a new first axis.
+
+    One `_sides` pass serves every order: (P_n, Q_n) = polys(n, zs, *coefs)
+    on each side.  z broadcasts against array coefficients.
+    """
+    _check_coefs(*coefs)
+    z = _with_coefs(z, *coefs)
+    out = np.empty((len(orders),) + z.shape)
     for mask, zs, combine in _sides(z):
-        out[mask] = combine(*polys(n, zs, *coefs))
+        side_coefs = [_on_side(c, mask) for c in coefs]
+        for row, n in zip(out, orders):
+            row[mask] = combine(*polys(n, zs, *side_coefs))
     return out
 
 
 def _series(z, w, order, k1, k2):
     """sum_{n<order} f_n(z) w^{n+1} of the (k1, k2) family, term by term on each side of z = 0."""
+    _check_coefs(k1, k2)
+    z = _with_coefs(z, k1, k2)
     w = np.broadcast_to(w, z.shape)
     total = np.empty(z.shape)
     for mask, zs, combine in _sides(z):
         ws = w[mask]
+        k1s, k2s = _on_side(k1, mask), _on_side(k2, mask)
         side = np.zeros_like(zs)
         w_pow = ws
         for n in range(order):
-            side = side + combine(*_phi_polys(n, zs, k1, k2)) * w_pow
+            side = side + combine(*_phi_polys(n, zs, k1s, k2s)) * w_pow
             w_pow = w_pow * ws
         total[mask] = side
     return total
@@ -210,16 +250,29 @@ def _check_coordinate(value, name):
     return arr
 
 
+def _term(name, polys, n, value, *coefs):
+    """f_n(value) of one family: the one-order case of `_terms`, over the broadcast shape."""
+    z = _check_term_args(n, value, name)
+    shape = np.broadcast_shapes(np.shape(value), *map(np.shape, coefs))
+    return _result(_terms(polys, (n,), z, *coefs)[0], shape)
+
+
+def _phi_terms(orders, xi, params: GeneralizedReducedParams):
+    """f_n(xi) of the generalized family for each n in `orders`, from one special-function pass."""
+    return _terms(_phi_polys, orders, _check_coordinate(xi, "phi_term"), params.k1, params.k2)
+
+
 def phi_term(n, xi, params: GeneralizedReducedParams):
-    """f_n(xi) of the generalized family: the w^n-stripped series factor."""
-    z = _check_term_args(n, xi, "phi_term")
-    return _result(_term(_phi_polys, n, z, params.k1, params.k2), np.shape(xi))
+    """f_n(xi) of the generalized family: the w^n-stripped series factor.
+
+    `xi` broadcasts against array `params.k1`, `params.k2`.
+    """
+    return _term("phi_term", _phi_polys, n, xi, params.k1, params.k2)
 
 
 def single_asset_term(n, z, k):
-    """f_n(z) of the single-asset family; equals phi_term at k1 = k2 = k."""
-    z_arr = _check_term_args(n, z, "single_asset_term")
-    return _result(_term(_single_polys, n, z_arr, k), np.shape(z))
+    """f_n(z) of the single-asset family; equals phi_term at k1 = k2 = k (`z`, `k` broadcast)."""
+    return _term("single_asset_term", _single_polys, n, z, k)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +299,19 @@ def _check_order(order):
 def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_ORDER):
     """Smoothed series value v(y, tau) = sqrt(tau) sum_{n<order} f_n(y/sqrt(tau)) tau^{n/2}.
 
-    `y` and `tau` broadcast against each other.  Returns the raw (unclamped)
-    partial sum; price-level callers clamp.  Where tau = 0 the payoff
-    max(1 - e^y, 0) applies directly.
+    `y`, `tau` and array `params.k1`, `params.k2` broadcast against each
+    other.  Returns the raw (unclamped) partial sum; price-level callers
+    clamp.  Where tau = 0 the payoff max(1 - e^y, 0) applies directly.
     """
     _check_order(order)
     y_arr = np.asarray(y, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm_reduced_sum: tau must be nonnegative")
+    k1, k2 = params.k1, params.k2
     shape = np.broadcast(y_arr, tau_arr).shape
+    if not (_is_float(k1) and _is_float(k2)):
+        shape = np.broadcast_shapes(shape, np.shape(k1), np.shape(k2))
     expired = tau_arr == 0.0
     any_expired = bool(expired.any())
     if any_expired:
@@ -267,7 +323,7 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
         tau_arr = np.where(expired, 1.0, tau_arr)
     w = np.sqrt(tau_arr)
     z = _check_coordinate(y_arr / w, "hpm_reduced_sum")
-    total = _series(z, w, order, params.k1, params.k2)
+    total = _series(z, w, order, k1, k2)
     if any_expired:
         total = np.where(expired, payoff, total)
     return _result(total, shape)
@@ -318,16 +374,20 @@ def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER, spots=None):
 
     The basket reduces to the dimensionless (k1, k2) equation in the
     coordinate xi = sum alpha_i ln(S_i/K).  Fields other than the spots
-    come from `spec`.
+    come from `spec`, whose scalar fields and covariance stack may be arrays.
     """
     _check_order(order)
-    if spec.time_remaining == 0.0:
-        return _result(np.maximum(spec.strike - geometric_mean(spec, spots), 0.0))
+    t_rem, expired = _live_time(spec.time_remaining)
+    if expired is not None:
+        payoff = np.maximum(spec.strike - geometric_mean(spec, spots), 0.0)
+        if np.all(expired):
+            return _payoff_everywhere(payoff, expired)
     red = reduce_basket(spec)
-    tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
+    tau = 0.5 * _libm(_square, red.sigma_hat) * t_rem
     xi = basket_coordinate(spec, spots)
     v = hpm_reduced_sum(xi, tau, basket_reduced_params(red, spec.rate), order)
-    return _result(np.maximum(spec.strike * v, 0.0))
+    price = np.maximum(spec.strike * v, 0.0)
+    return _result(price if expired is None else np.where(expired, payoff, price))
 
 
 def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None):
@@ -335,16 +395,20 @@ def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None)
 
     The reduced strike E/S2 is taken at valuation time, so the pipeline is
     deterministic; accuracy is judged against the exact formula.  Fields
-    not given come from `spec`.
+    not given come from `spec`; any field of `spec` may be an array.
     """
     _check_order(order)
     s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
-    if spec.time_remaining == 0.0:
-        return _result(s2 * np.maximum(spec.strike - s1, 0.0))
+    t_rem, expired = _live_time(spec.time_remaining)
+    if expired is not None:
+        payoff = s2 * np.maximum(spec.strike - s1, 0.0)
+        if np.all(expired):
+            return _payoff_everywhere(payoff, expired)
     red = reduce_quanto(spec)
     params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
     y = _log_moneyness(s1, spec.strike)
-    tau = 0.5 * red.sigma_hat_sq * spec.time_remaining
+    tau = 0.5 * red.sigma_hat_sq * t_rem
     v = hpm_reduced_sum(y, tau, params, order)
     strike_reduced = spec.strike / s2
-    return _result(np.maximum(s2 * s2 * strike_reduced * v, 0.0))
+    price = np.maximum(s2 * s2 * strike_reduced * v, 0.0)
+    return _result(price if expired is None else np.where(expired, payoff, price))

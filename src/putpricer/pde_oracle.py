@@ -188,6 +188,50 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
 # ---------------------------------------------------------------------------
 
 
+def _fd_residuals(term_index, params, z, w, steps):
+    """fd_residual at each step of `steps`, from one special-function pass.
+
+    f_n, f_{n-1} and f_{n-2} are evaluated once on the stacked stencil
+    points [z, z + h, z - h for each h]; f_n(z) also serves the w-derivative,
+    which moves only the power of w.
+    """
+    if not 0 <= term_index < hpm_series.MAX_ORDER:
+        raise ValueError(
+            f"term_index must lie in [0, {hpm_series.MAX_ORDER - 1}], got {term_index}"
+        )
+    if w <= 0 or min(steps) <= 0:
+        raise ValueError("fd_residual needs w > 0 and h > 0")
+    z_arr = np.asarray(z, dtype=float)
+    n = term_index
+    k1, k2 = params.k1, params.k2
+    orders = range(n, max(n - 2, 0) - 1, -1)       # n, n-1, n-2 down to 0
+    points = np.stack([z_arr] + [z_arr + s for h in steps for s in (h, -h)])
+    f = hpm_series._phi_terms(orders, points, params)
+
+    def u(m, point, ww):
+        # u_m = f_m(z) w^m at stencil point 0 (z), 2i + 1 (z + h_i) or 2i + 2 (z - h_i)
+        return f[n - m, point] * ww**m
+
+    residuals = []
+    for i, h in enumerate(steps):
+        plus, minus = 2 * i + 1, 2 * i + 2
+        f_c = u(n, 0, w)
+        f_p = u(n, plus, w)
+        f_m = u(n, minus, w)
+        d2z = (f_p - 2.0 * f_c + f_m) / (h * h)
+        d1z = (f_p - f_m) / (2.0 * h)
+        dw = ((w + h) * u(n, 0, w + h) - (w - h) * u(n, 0, w - h)) / (2.0 * h)
+        resid = 2.0 * d2z + z_arr * d1z - dw
+        if n >= 1:
+            g_p = u(n - 1, plus, w)
+            g_m = u(n - 1, minus, w)
+            resid = resid + 2.0 * (k1 - 1.0) * w * (g_p - g_m) / (2.0 * h)
+        if n >= 2:
+            resid = resid - 2.0 * k2 * w * w * u(n - 2, 0, w)
+        residuals.append(_result(resid))
+    return residuals
+
+
 def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
                 h: float):
     """Central-difference estimate of the recursion residual R_n(z, w).
@@ -197,32 +241,7 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
     with u_n = f_n(z) w^n.  Vanishes analytically for every generalized
     term; the estimate is O(h^2).  Accepts scalar or array z.
     """
-    if not 0 <= term_index < hpm_series.MAX_ORDER:
-        raise ValueError(
-            f"term_index must lie in [0, {hpm_series.MAX_ORDER - 1}], got {term_index}"
-        )
-    if w <= 0 or h <= 0:
-        raise ValueError("fd_residual needs w > 0 and h > 0")
-    z_arr = np.asarray(z, dtype=float)
-    n = term_index
-
-    def u(m, zz, ww):
-        return hpm_series.phi_term(m, zz, params) * ww**m
-
-    f_c = u(n, z_arr, w)
-    f_p = u(n, z_arr + h, w)
-    f_m = u(n, z_arr - h, w)
-    d2z = (f_p - 2.0 * f_c + f_m) / (h * h)
-    d1z = (f_p - f_m) / (2.0 * h)
-    dw = ((w + h) * u(n, z_arr, w + h) - (w - h) * u(n, z_arr, w - h)) / (2.0 * h)
-    resid = 2.0 * d2z + z_arr * d1z - dw
-    if n >= 1:
-        g_p = u(n - 1, z_arr + h, w)
-        g_m = u(n - 1, z_arr - h, w)
-        resid = resid + 2.0 * (params.k1 - 1.0) * w * (g_p - g_m) / (2.0 * h)
-    if n >= 2:
-        resid = resid - 2.0 * params.k2 * w * w * u(n - 2, z_arr, w)
-    return _result(resid)
+    return _fd_residuals(term_index, params, z, w, (h,))[0]
 
 
 def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,
@@ -230,11 +249,10 @@ def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,
     """Two-stage Richardson extrapolation of fd_residual (h, h/2, h/4).
 
     Eliminates the h^2 and h^4 error terms, leaving O(h^6) + roundoff, so an
-    analytically zero residual extrapolates to ~1e-11 or below.
+    analytically zero residual extrapolates to ~1e-11 or below.  The three
+    stencils share one special-function pass.
     """
-    r1 = fd_residual(term_index, params, z, w, h)
-    r2 = fd_residual(term_index, params, z, w, 0.5 * h)
-    r4 = fd_residual(term_index, params, z, w, 0.25 * h)
+    r1, r2, r4 = _fd_residuals(term_index, params, z, w, (h, 0.5 * h, 0.25 * h))
     a1 = (4.0 * r2 - r1) / 3.0
     a2 = (4.0 * r4 - r2) / 3.0
     return (16.0 * a2 - a1) / 15.0

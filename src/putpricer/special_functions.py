@@ -53,7 +53,7 @@ def _result(out, shape=None):
     """
     if shape is not None:
         out = np.reshape(out, shape)
-    return out if np.ndim(out) else float(out)
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def _exp_neg_sq(x):

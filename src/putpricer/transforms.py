@@ -18,18 +18,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special_functions import _result
 
-def _require_finite(name, **values):
-    for field_name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: {field_name} must be finite, got {value}")
+
+def _is_float(value):
+    return isinstance(value, (float, int))
+
+
+def _finite(value):
+    return math.isfinite(value) if _is_float(value) else np.isfinite(value)
+
+
+def _require(ok, message, *values):
+    """Raise ValueError(message.format(*values)) unless `ok` holds everywhere.
+
+    `ok` is a bool where every field involved is a float, so a scalar
+    contract pays no numpy call; otherwise it is an array, and the message
+    shows each value at the first element that fails.
+    """
+    if ok is True:
+        return
+    if not isinstance(ok, bool):
+        if ok.all():
+            return
+        bad = np.logical_not(ok)
+        values = tuple(np.broadcast_to(v, bad.shape)[bad][0] for v in values)
+    raise ValueError(message.format(*values))
+
+
+def _check_fields(owner, spec, names):
+    """Require every field among `names` to be finite, elementwise for arrays.
+
+    A field that is not a float is stored as a float ndarray first.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if _is_float(value):
+            if math.isfinite(value):
+                continue
+            ok = False
+        else:
+            value = np.asarray(value, dtype=float)
+            object.__setattr__(spec, name, value)
+            ok = np.isfinite(value)
+        _require(ok, f"{owner}: {name} must be finite, got {{}}", value)
 
 
 @dataclass(frozen=True)
 class VanillaOptionSpec:
     """Market and contract parameters of a single-asset European option.
 
-    Times are in years; `valuation_time` must not exceed `maturity`.
+    Times are in years; `valuation_time` must not exceed `maturity`.  Every
+    field is a float or a broadcastable array (one contract per element).
     """
 
     spot: float
@@ -40,19 +80,13 @@ class VanillaOptionSpec:
     valuation_time: float = 0.0
 
     def __post_init__(self):
-        _require_finite("VanillaOptionSpec", spot=self.spot, strike=self.strike,
-                        rate=self.rate, vol=self.vol, maturity=self.maturity,
-                        valuation_time=self.valuation_time)
-        if self.spot <= 0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.vol <= 0:
-            raise ValueError(f"vol must be positive, got {self.vol}")
-        if self.valuation_time > self.maturity:
-            raise ValueError(
-                f"valuation_time {self.valuation_time} exceeds maturity {self.maturity}"
-            )
+        _check_fields("VanillaOptionSpec", self,
+                      ("spot", "strike", "rate", "vol", "maturity", "valuation_time"))
+        _require(self.spot > 0, "spot must be positive, got {}", self.spot)
+        _require(self.strike > 0, "strike must be positive, got {}", self.strike)
+        _require(self.vol > 0, "vol must be positive, got {}", self.vol)
+        _require(self.valuation_time <= self.maturity,
+                 "valuation_time {} exceeds maturity {}", self.valuation_time, self.maturity)
 
     @property
     def time_remaining(self) -> float:
@@ -68,25 +102,29 @@ class ReducedCoordinates:
     k: float
 
     def __post_init__(self):
-        _require_finite("ReducedCoordinates", x=self.x, tau=self.tau, k=self.k)
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        _check_fields("ReducedCoordinates", self, ("x", "tau", "k"))
+        _require(self.tau >= 0, "tau must be nonnegative, got {}", self.tau)
 
 
 @dataclass(frozen=True)
 class GeneralizedReducedParams:
-    """The (k1, k2) pair of the unified reduced equation."""
+    """The (k1, k2) pair of the unified reduced equation: floats or broadcastable arrays."""
 
     k1: float
     k2: float
 
     def __post_init__(self):
-        _require_finite("GeneralizedReducedParams", k1=self.k1, k2=self.k2)
+        _check_fields("GeneralizedReducedParams", self, ("k1", "k2"))
 
 
 @dataclass(frozen=True)
 class BasketSpec:
-    """Geometric basket contract: n assets with weights summing to one."""
+    """Geometric basket contract: n assets with weights summing to one.
+
+    `rate`, `strike`, `maturity` and `valuation_time` are floats or
+    broadcastable arrays; `spots` is `(..., n)` and `covariance` `(..., n, n)`,
+    where the leading axes, if any, index contracts like the other arrays.
+    """
 
     spots: np.ndarray
     weights: np.ndarray
@@ -98,45 +136,45 @@ class BasketSpec:
     valuation_time: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "spots", np.asarray(self.spots, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "dividends", np.asarray(self.dividends, dtype=float))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
-        n = self.spots.size
-        if self.weights.size != n or self.dividends.size != n:
+        vectors = ("spots", "weights", "dividends", "covariance")
+        for name in vectors:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = self.spots.shape[-1] if self.spots.ndim else None
+        if self.weights.shape != (n,) or self.dividends.shape != (n,):
             raise ValueError("spots, weights and dividends must have equal length")
-        if self.covariance.shape != (n, n):
+        if self.covariance.shape[-2:] != (n, n):
             raise ValueError(
                 f"covariance must be {n}x{n}, got {self.covariance.shape}"
             )
-        arrays = np.concatenate(
-            [self.spots, self.weights, self.dividends, self.covariance.ravel()]
-        )
-        if not np.isfinite(arrays).all():
+        entries = np.concatenate([self.spots.ravel(), self.weights, self.dividends,
+                                  self.covariance.ravel()])
+        if not np.isfinite(entries).all():
             raise ValueError("BasketSpec: non-finite entries")
-        _require_finite("BasketSpec", rate=self.rate, strike=self.strike,
-                        maturity=self.maturity, valuation_time=self.valuation_time)
+        _check_fields("BasketSpec", self, ("rate", "strike", "maturity", "valuation_time"))
         if (self.spots <= 0).any():
             raise ValueError("all spots must be positive")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        _require(self.strike > 0, "strike must be positive, got {}", self.strike)
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ValueError(
                 f"weights must sum to 1 within 1e-12, got {self.weights.sum()!r}"
             )
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-12):
+        cov = self.covariance
+        cov_t = cov.swapaxes(-1, -2)
+        # np.allclose(cov, cov_t, atol=1e-12) on finite entries, without its
+        # ~20 us of dispatch per scalar contract
+        if not (np.abs(cov - cov_t) <= 1e-12 + 1e-5 * np.abs(cov_t)).all():
             raise ValueError("covariance must be symmetric")
-        scale = max(1.0, float(np.abs(self.covariance).max()))
-        if np.linalg.eigvalsh(self.covariance).min() < -1e-10 * scale:
-            raise ValueError("covariance must be positive semidefinite")
-        if self.valuation_time > self.maturity:
-            raise ValueError(
-                f"valuation_time {self.valuation_time} exceeds maturity {self.maturity}"
-            )
+        # one tolerance per matrix of a stack
+        scale = np.abs(cov).max(axis=(-2, -1), initial=1.0)
+        least = np.linalg.eigvalsh(cov).min(axis=-1)
+        _require(least >= -1e-10 * scale,
+                 "covariance must be positive semidefinite, least eigenvalue {}", least)
+        _require(self.valuation_time <= self.maturity,
+                 "valuation_time {} exceeds maturity {}", self.valuation_time, self.maturity)
 
     @property
     def n(self) -> int:
-        return self.spots.size
+        return self.spots.shape[-1]
 
     @property
     def time_remaining(self) -> float:
@@ -149,7 +187,8 @@ class QuantoSpec:
 
     The rates r1, r2 are kept exactly as they enter the two-asset pricing
     equation; no domestic/foreign interpretation is imposed.  sigma2 = 0 is
-    allowed as the degenerate deterministic-exchange-rate limit.
+    allowed as the degenerate deterministic-exchange-rate limit.  Every field
+    is a float or a broadcastable array (one contract per element).
     """
 
     s1: float
@@ -165,22 +204,19 @@ class QuantoSpec:
     valuation_time: float = 0.0
 
     def __post_init__(self):
-        _require_finite("QuantoSpec", s1=self.s1, s2=self.s2, sigma1=self.sigma1,
-                        sigma2=self.sigma2, rho=self.rho, r1=self.r1, r2=self.r2,
-                        q=self.q, strike=self.strike, maturity=self.maturity,
-                        valuation_time=self.valuation_time)
-        if self.s1 <= 0 or self.s2 <= 0:
-            raise ValueError("asset price and exchange-rate ratio must be positive")
-        if self.sigma1 <= 0 or self.sigma2 < 0:
-            raise ValueError("sigma1 must be positive and sigma2 nonnegative")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.valuation_time > self.maturity:
-            raise ValueError(
-                f"valuation_time {self.valuation_time} exceeds maturity {self.maturity}"
-            )
+        _check_fields("QuantoSpec", self, ("s1", "s2", "sigma1", "sigma2", "rho", "r1", "r2",
+                                           "q", "strike", "maturity", "valuation_time"))
+        _require((self.s1 > 0) & (self.s2 > 0),
+                 "asset price and exchange-rate ratio must be positive, got s1 = {}, s2 = {}",
+                 self.s1, self.s2)
+        _require((self.sigma1 > 0) & (self.sigma2 >= 0),
+                 "sigma1 must be positive and sigma2 nonnegative, got {} and {}",
+                 self.sigma1, self.sigma2)
+        _require((-1.0 <= self.rho) & (self.rho <= 1.0),
+                 "rho must lie in [-1, 1], got {}", self.rho)
+        _require(self.strike > 0, "strike must be positive, got {}", self.strike)
+        _require(self.valuation_time <= self.maturity,
+                 "valuation_time {} exceeds maturity {}", self.valuation_time, self.maturity)
 
     @property
     def time_remaining(self) -> float:
@@ -224,6 +260,16 @@ def _libm_each(fn, values):
     return np.array([fn(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
 
 
+def _libm(fn, value):
+    """fn(value) on a float; on an array, `fn` per element through `_libm_each`."""
+    return fn(value) if isinstance(value, float) else _libm_each(fn, value)
+
+
+def _square(v):
+    # Python's float power (C pow), whose bits numpy's array square does not always match
+    return v ** 2
+
+
 def _log_or_minus_inf(v):
     return math.log(v) if v > 0.0 else -math.inf
 
@@ -255,15 +301,39 @@ def _time_remaining(spec, valuation_time=None):
     return t_rem
 
 
+def _live_time(t_rem):
+    """(t, expired): `t_rem` with every expired element (t = 0) set to 1, and the expiry mask.
+
+    Any positive time stands in where the caller puts the payoff back;
+    `expired` is None when no element has expired.  A float `t_rem` stays a
+    float while it is live.
+    """
+    expired = t_rem == 0.0
+    if expired is False or (expired is not True and not expired.any()):
+        return t_rem, None
+    return np.where(expired, 1.0, t_rem), expired
+
+
+def _payoff_everywhere(payoff, expired):
+    """The payoff over the broadcast shape of the contracts, every one of which has expired."""
+    shape = np.broadcast_shapes(np.shape(payoff), np.shape(expired))
+    return _result(np.broadcast_to(payoff, shape).copy())
+
+
 def to_dimensionless_arrays(spec: VanillaOptionSpec, spot=None, valuation_time=None):
     """(x, tau, k) of `to_dimensionless` over broadcastable arrays of spot and valuation time.
 
-    Fields not given come from `spec`; spot 0 maps to x = -inf.
+    Fields not given come from `spec`; spot 0 maps to x = -inf.  A vol whose
+    square underflows, or leaves 2r/vol^2 non-finite, raises.
     """
+    vol_sq = spec.vol * spec.vol
+    _require(vol_sq > 0.0, "vol {} is too small: vol^2 underflows to zero", spec.vol)
+    k = 2.0 * spec.rate / vol_sq
+    _require(_finite(k), "vol {} is too small: 2 rate / vol^2 is not finite", spec.vol)
     return (
         _log_moneyness(_field("spot", spot, spec.spot, allow_zero=True), spec.strike),
         0.5 * spec.vol * spec.vol * _time_remaining(spec, valuation_time),
-        2.0 * spec.rate / (spec.vol * spec.vol),
+        k,
     )
 
 
@@ -279,16 +349,17 @@ def reduce_basket(spec: BasketSpec) -> BasketReduction:
     sigma_hat^2 = sum a_ij alpha_i alpha_j,
     q_hat = sum alpha_i (q_i + a_ii / 2) - sigma_hat^2 / 2,
     xi = sum alpha_i ln(S_i / K).
+
+    Over a stack of covariances each field holds one value per matrix.
     """
     alpha = spec.weights
-    sigma_hat_sq = float(alpha @ spec.covariance @ alpha)
-    sigma_hat_sq = max(sigma_hat_sq, 0.0)  # PSD guarantees this up to rounding
-    q_hat = float(
-        np.dot(alpha, spec.dividends + 0.5 * np.diag(spec.covariance))
-        - 0.5 * sigma_hat_sq
-    )
-    xi = float(basket_coordinate(spec))
-    return BasketReduction(sigma_hat=math.sqrt(sigma_hat_sq), q_hat=q_hat, xi=xi)
+    cov = spec.covariance
+    # PSD guarantees a nonnegative sigma_hat^2 up to rounding
+    sigma_hat_sq = _result(np.maximum(alpha @ cov @ alpha, 0.0))
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
+    q_hat = _result((spec.dividends + 0.5 * diag) @ alpha - 0.5 * sigma_hat_sq)
+    xi = _result(basket_coordinate(spec))
+    return BasketReduction(sigma_hat=_libm(math.sqrt, sigma_hat_sq), q_hat=q_hat, xi=xi)
 
 
 def _basket_spots(spec: BasketSpec, spots):
@@ -305,7 +376,8 @@ def basket_coordinate(spec: BasketSpec, spots=None):
     the same bits whatever the shape of `spots`; a BLAS dot fuses
     multiply-adds differently for one vector than for a matrix of them.
     """
-    logs = np.log(_basket_spots(spec, spots) / spec.strike)
+    strike = spec.strike if _is_float(spec.strike) else spec.strike[..., None]
+    logs = np.log(_basket_spots(spec, spots) / strike)
     xi = logs[..., 0] * spec.weights[0]
     for i in range(1, spec.n):
         xi = xi + logs[..., i] * spec.weights[i]
@@ -320,8 +392,7 @@ def geometric_mean(spec: BasketSpec, spots=None):
 def basket_reduced_params(red: BasketReduction, rate: float) -> GeneralizedReducedParams:
     """(k1, k2) of the basket route: k1 = 2(r - q_hat)/sigma_hat^2, k2 = 2r/sigma_hat^2."""
     s2 = red.sigma_hat * red.sigma_hat
-    if s2 <= 0:
-        raise ValueError("basket reduction is degenerate: sigma_hat^2 must be positive")
+    _require(s2 > 0, "basket reduction is degenerate: sigma_hat^2 must be positive, got {}", s2)
     return GeneralizedReducedParams(k1=2.0 * (rate - red.q_hat) / s2, k2=2.0 * rate / s2)
 
 
@@ -335,11 +406,9 @@ def reduce_quanto(spec: QuantoSpec) -> QuantoReduction:
     """
     s2sq = spec.sigma2 * spec.sigma2
     sigma_hat_sq = spec.sigma1 * spec.sigma1 - 2.0 * spec.rho * spec.sigma1 * spec.sigma2 + s2sq
-    if sigma_hat_sq <= 0:
-        raise ValueError(
-            "degenerate quanto volatility: sigma1^2 - 2 rho sigma1 sigma2 + sigma2^2 "
-            f"must be positive, got {sigma_hat_sq}"
-        )
+    _require(sigma_hat_sq > 0,
+             "degenerate quanto volatility: sigma1^2 - 2 rho sigma1 sigma2 + sigma2^2 "
+             "must be positive, got {}", sigma_hat_sq)
     q_hat = 2.0 * spec.r2 - spec.r1 - spec.q - s2sq
     r_hat = spec.r1 - 2.0 * spec.r2 + s2sq
     return QuantoReduction(

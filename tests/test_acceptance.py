@@ -17,8 +17,15 @@ import numpy as np
 import pytest
 
 from putpricer import hpm_series, validation
-from putpricer.transforms import GeneralizedReducedParams, VanillaOptionSpec
-from putpricer.exact_pricing import bs_put
+from putpricer.transforms import (
+    BasketSpec,
+    GeneralizedReducedParams,
+    QuantoSpec,
+    VanillaOptionSpec,
+    reduce_quanto,
+    to_dimensionless,
+)
+from putpricer.exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
 from putpricer.special_functions import erf, normal_cdf
 from putpricer.cli import main
 
@@ -153,3 +160,180 @@ def test_full_validate_command_exits_zero(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+# ---------------------------------------------------------------------------
+# the batched random-contract checks against their one-contract loops
+# ---------------------------------------------------------------------------
+# The references below are the loops these checks ran before they became
+# array calls: one scalar spec, one phi_term call per stencil point, one
+# rng.uniform call per field.  The batched checks must return equal results.
+
+
+def _loop_fd_residual(n, params, z, w, h):
+    def u(m, zz, ww):
+        return hpm_series.phi_term(m, zz, params) * ww**m
+
+    f_c = u(n, z, w)
+    f_p = u(n, z + h, w)
+    f_m = u(n, z - h, w)
+    d2z = (f_p - 2.0 * f_c + f_m) / (h * h)
+    d1z = (f_p - f_m) / (2.0 * h)
+    dw = ((w + h) * u(n, z, w + h) - (w - h) * u(n, z, w - h)) / (2.0 * h)
+    resid = 2.0 * d2z + z * d1z - dw
+    if n >= 1:
+        g_p = u(n - 1, z + h, w)
+        g_m = u(n - 1, z - h, w)
+        resid = resid + 2.0 * (params.k1 - 1.0) * w * (g_p - g_m) / (2.0 * h)
+    if n >= 2:
+        resid = resid - 2.0 * params.k2 * w * w * u(n - 2, z, w)
+    return resid
+
+
+def _loop_richardson_residual(n, params, z, w, h):
+    r1 = _loop_fd_residual(n, params, z, w, h)
+    r2 = _loop_fd_residual(n, params, z, w, 0.5 * h)
+    r4 = _loop_fd_residual(n, params, z, w, 0.25 * h)
+    a1 = (4.0 * r2 - r1) / 3.0
+    a2 = (4.0 * r4 - r2) / 3.0
+    return (16.0 * a2 - a1) / 15.0
+
+
+def _loop_specialization_identity(profile):
+    rng = np.random.default_rng(2024)
+    xi = rng.uniform(-10.0, 10.0, 1000)
+    ks = rng.uniform(0.1, 3.0, 1000)
+    worst = 0.0
+    for n in range(hpm_series.MAX_ORDER):
+        for k in ks[:20]:
+            params = GeneralizedReducedParams(float(k), float(k))
+            diff = np.abs(
+                hpm_series.phi_term(n, xi, params)
+                - hpm_series.single_asset_term(n, xi, float(k))
+            )
+            worst = max(worst, float(diff.max()))
+    bound = validation._tol(1e-12, profile)
+    return [validation.CheckResult("specialization-identity", worst, f"<= {bound:.1e}",
+                                   worst <= bound)]
+
+
+def _loop_recursion_residuals(profile):
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(10):
+        k1, k2 = rng.uniform(-2.0, 2.0, 2)
+        params = GeneralizedReducedParams(float(k1), float(k2))
+        z = rng.uniform(-3.0, 3.0, 1000)
+        w = float(rng.uniform(0.05, 0.8))
+        for n in range(hpm_series.MAX_ORDER):
+            r = _loop_richardson_residual(n, params, z, w, 0.02)
+            worst = max(worst, float(np.abs(r).max()))
+    bound = validation._tol(1e-8, profile)
+    results = [validation.CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",
+                                      worst <= bound)]
+
+    params = GeneralizedReducedParams(0.6, 1.4)
+    z = rng.uniform(-3.0, 3.0, 500)
+    r1 = _loop_fd_residual(3, params, z, 0.3, 0.02)
+    r2 = _loop_fd_residual(3, params, z, 0.3, 0.01)
+    order = math.log2(
+        math.sqrt(float(np.mean(r1**2))) / math.sqrt(float(np.mean(r2**2)))
+    )
+    results.append(validation.CheckResult("residual-estimator-order", order, "in [1.8, 2.2]",
+                                          1.8 <= order <= 2.2))
+    return results
+
+
+def _loop_quanto_internal_consistency(profile):
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    checked = 0
+    while checked < 1000:
+        spec = QuantoSpec(
+            s1=float(rng.uniform(25, 70)), s2=float(rng.uniform(0.5, 3.0)),
+            sigma1=float(rng.uniform(0.05, 0.5)), sigma2=float(rng.uniform(0.0, 0.5)),
+            rho=float(rng.uniform(-1.0, 1.0)), r1=float(rng.uniform(0.0, 0.1)),
+            r2=float(rng.uniform(0.0, 0.1)), q=float(rng.uniform(0.0, 0.05)),
+            strike=float(rng.uniform(25, 70)), maturity=float(rng.uniform(0.1, 2.0)),
+        )
+        red = reduce_quanto(spec)
+        if red.sigma_hat_sq <= 1e-4:
+            continue
+        checked += 1
+        price = quanto_put_exact(spec)
+        routed = spec.s2 * spec.s2 * (spec.strike / spec.s2) * reduced_exact_u(
+            math.log(spec.s1 / spec.strike),
+            0.5 * red.sigma_hat_sq * spec.time_remaining,
+            GeneralizedReducedParams(red.k1, red.k2),
+        )
+        if price > 1e-12:
+            worst = max(worst, abs(price - routed) / price)
+    bound = validation._tol(1e-10, profile)
+    return [validation.CheckResult("quanto-internal-consistency", worst, f"<= {bound:.1e}",
+                                   worst <= bound)]
+
+
+def _loop_degenerations(profile):
+    bound = validation._tol(1e-12, profile)
+    rng = np.random.default_rng(41)
+    worst_basket = 0.0
+    worst_reduced = 0.0
+    for _ in range(1000):
+        strike = float(rng.uniform(20, 100))
+        spec = VanillaOptionSpec(
+            spot=strike * float(rng.uniform(0.6, 1.6)), strike=strike,
+            rate=float(rng.uniform(0.0, 0.12)), vol=float(rng.uniform(0.1, 0.6)),
+            maturity=float(rng.uniform(0.1, 2.0)),
+        )
+        basket = BasketSpec(
+            spots=np.array([spec.spot]), weights=np.array([1.0]),
+            dividends=np.zeros(1), covariance=np.array([[spec.vol**2]]),
+            rate=spec.rate, strike=spec.strike, maturity=spec.maturity,
+        )
+        reference = bs_put(spec)
+        worst_basket = max(worst_basket, abs(basket_put_exact(basket) - reference))
+        rc = to_dimensionless(spec)
+        routed = spec.strike * reduced_exact_u(
+            rc.x, rc.tau, GeneralizedReducedParams(rc.k, rc.k)
+        )
+        worst_reduced = max(worst_reduced, abs(routed - reference))
+    return [
+        validation.CheckResult("degeneration-basket-n1", worst_basket, f"<= {bound:.1e}",
+                               worst_basket <= bound),
+        validation.CheckResult("degeneration-reduced-exact", worst_reduced, f"<= {bound:.1e}",
+                               worst_reduced <= bound),
+    ]
+
+
+@pytest.mark.parametrize("check, loop", [
+    (validation.check_specialization_identity, _loop_specialization_identity),
+    (validation.check_recursion_residuals, _loop_recursion_residuals),
+    (validation.check_quanto_internal_consistency, _loop_quanto_internal_consistency),
+    (validation.check_degenerations, _loop_degenerations),
+], ids=["specialization", "recursion", "quanto", "degenerations"])
+def test_batched_check_equals_its_loop(check, loop):
+    assert check("default") == loop("default")
+
+
+def test_block_draws_equal_per_call_draws():
+    # degenerations (seed 41): five fields per contract, one row each
+    bounds = [(20, 100), (0.6, 1.6), (0.0, 0.12), (0.1, 0.6), (0.1, 2.0)]
+    rng = np.random.default_rng(41)
+    per_call = np.array([[rng.uniform(lo, hi) for lo, hi in bounds] for _ in range(1000)])
+    u = np.random.default_rng(41).random((1000, len(bounds)))
+    block = np.column_stack([validation._uniform(u[:, j], lo, hi)
+                             for j, (lo, hi) in enumerate(bounds)])
+    assert per_call.tobytes() == block.tobytes()
+
+    # recursion residuals (seed 7): k1, k2, 1,000 z and w per pair, then the tail
+    rng = np.random.default_rng(7)
+    per_call = [np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0, 1000),
+                                [rng.uniform(0.05, 0.8)]]) for _ in range(10)]
+    tail = rng.uniform(-3.0, 3.0, 500)
+    rng = np.random.default_rng(7)
+    rows = rng.random((10, 1003))
+    block = [np.concatenate([validation._uniform(row[:2], -2.0, 2.0),
+                             validation._uniform(row[2:1002], -3.0, 3.0),
+                             [validation._uniform(row[1002], 0.05, 0.8)]]) for row in rows]
+    assert np.array(per_call).tobytes() == np.array(block).tobytes()
+    assert tail.tobytes() == rng.uniform(-3.0, 3.0, 500).tobytes()

@@ -25,6 +25,7 @@ from putpricer.transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
+    reduce_quanto,
 )
 
 # sha256 of `putpricer figure N --out ...` under the default configuration;
@@ -453,3 +454,187 @@ def test_evaluators_follow_the_return_rule(name, x, shape):
         assert type(out) is float
     else:
         assert type(out) is np.ndarray and out.shape == shape
+
+
+# ---------------------------------------------------------------------------
+# array-valued contract fields == per-element scalar specs
+# ---------------------------------------------------------------------------
+# Each element of a call on a spec whose fields are arrays must equal the
+# same call on the scalar spec of that element.  Where every step is
+# elementwise arithmetic or a per-element libm call the bits are equal;
+# where numpy's array power (the series coefficients in k) or a stacked
+# matrix product (the basket reduction) replaces the scalar route, the
+# element may differ by rounding, bounded at 1e-14 of the value's scale.
+
+
+def vector(draw, elements, size):
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+
+@st.composite
+def single_fields(draw, size):
+    strike = vector(draw, price, size)
+    maturity = vector(draw, st.floats(0.05, 2.0), size)
+    return dict(
+        spot=strike * np.exp(vector(draw, st.floats(-0.5, 0.5), size)), strike=strike,
+        rate=vector(draw, st.floats(0.0, 0.1), size), vol=vector(draw, st.floats(0.1, 0.6), size),
+        maturity=maturity,
+        valuation_time=np.array([draw(valuation_times(m)) for m in maturity.tolist()]),
+    )
+
+
+@st.composite
+def basket_fields(draw, size):
+    single = draw(single_fields(size))
+    s1, s2 = single["vol"], vector(draw, st.floats(0.1, 0.5), size)
+    c = vector(draw, st.floats(-0.8, 0.9), size)
+    spot2 = single["strike"] * np.exp(vector(draw, st.floats(-0.5, 0.5), size))
+    return dict(
+        spots=np.stack([single["spot"], spot2], axis=-1),
+        weights=np.array([0.4, 0.6]), dividends=np.array([0.01, 0.0]),
+        covariance=np.stack([np.stack([s1 * s1, c * s1 * s2], -1),
+                             np.stack([c * s1 * s2, s2 * s2], -1)], -2),
+        rate=single["rate"], strike=single["strike"], maturity=single["maturity"],
+        valuation_time=single["valuation_time"],
+    )
+
+
+@st.composite
+def quanto_fields(draw, size):
+    single = draw(single_fields(size))
+
+    def floats(lo, hi):
+        return vector(draw, st.floats(lo, hi), size)
+
+    return dict(
+        s1=single["spot"], s2=floats(0.5, 3.0), sigma1=floats(0.05, 0.5),
+        sigma2=floats(0.0, 0.5), rho=floats(-1.0, 0.5), r1=single["rate"],
+        r2=floats(0.0, 0.1), q=floats(0.0, 0.05), strike=single["strike"],
+        maturity=single["maturity"], valuation_time=single["valuation_time"],
+    )
+
+
+FAMILIES = {"single": (VanillaOptionSpec, single_fields),
+            "basket": (BasketSpec, basket_fields),
+            "quanto": (QuantoSpec, quanto_fields)}
+
+# name: (family, call(spec, order), bit-equal per element)
+ARRAY_PRICERS = {
+    "bs_put": ("single", lambda spec, order: bs_put(spec), True),
+    "price_single_hpm1": ("single", lambda spec, order: hpm_series.price_single_hpm1(spec),
+                          True),
+    "price_single_hpm2": ("single", hpm_series.price_single_hpm2, False),
+    "basket_put_exact": ("basket", lambda spec, order: basket_put_exact(spec), False),
+    "price_basket_hpm": ("basket", hpm_series.price_basket_hpm, False),
+    "quanto_put_exact": ("quanto", lambda spec, order: quanto_put_exact(spec), True),
+    "price_quanto_hpm": ("quanto", hpm_series.price_quanto_hpm, False),
+}
+
+
+def assert_element_matches(got, want, exact, scale):
+    if exact:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_PRICERS))
+@given(data=st.data(), size=st.integers(1, 4), order=orders)
+@settings(max_examples=30, deadline=None)
+def test_array_fields_match_per_element_specs(name, data, size, order):
+    family, call, exact = ARRAY_PRICERS[name]
+    spec_cls, fields = FAMILIES[family]
+    values = data.draw(fields(size))
+    spec = spec_cls(**values)
+    batched = call(spec, order)
+    assert np.shape(batched) == (size,)
+    per_contract = [k for k in values if k not in ("weights", "dividends")]
+    for i in range(size):
+        one = replace(spec, **{k: float(values[k][i]) if values[k].ndim == 1
+                               else values[k][i] for k in per_contract})
+        want = call(one, order)
+        assert isinstance(want, float)
+        scale = values["strike"][i] * (values["s2"][i] if family == "quanto" else 1.0)
+        assert_element_matches(batched[i], want, exact, scale)
+
+
+# name: (call(y, tau, k1, k2, order), bit-equal per element)
+ARRAY_EVALUATORS = {
+    "reduced_exact_u": (lambda y, tau, k1, k2, order:
+                        reduced_exact_u(y, tau, GeneralizedReducedParams(k1, k2)), True),
+    "phi_term": (lambda y, tau, k1, k2, order:
+                 phi_term(order - 1, y, GeneralizedReducedParams(k1, k2)), False),
+    "single_asset_term": (lambda y, tau, k1, k2, order: single_asset_term(order - 1, y, k1),
+                          False),
+    "hpm_reduced_sum": (lambda y, tau, k1, k2, order:
+                        hpm_reduced_sum(y, tau, GeneralizedReducedParams(k1, k2), order), False),
+}
+
+coefficient = st.floats(-2.0, 4.0)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_EVALUATORS))
+@given(data=st.data(), size=st.integers(1, 6), order=orders)
+@settings(max_examples=30, deadline=None)
+def test_array_coefficients_match_per_element_calls(name, data, size, order):
+    call, exact = ARRAY_EVALUATORS[name]
+    y = vector(data.draw, st.floats(-3.0, 3.0), size)
+    tau = vector(data.draw, st.floats(1e-3, 2.0), size)
+    k1, k2 = vector(data.draw, coefficient, size), vector(data.draw, coefficient, size)
+    batched = call(y, tau, k1, k2, order)
+    assert np.shape(batched) == (size,)
+    # k on its own axis broadcasts against the coordinates
+    grid = call(y, tau, k1[:, None], k2[:, None], order)
+    assert np.shape(grid) == (size, size)
+    for i in range(size):
+        want = call(float(y[i]), float(tau[i]), float(k1[i]), float(k2[i]), order)
+        assert isinstance(want, float)
+        scale = max(1.0, abs(want))
+        assert_element_matches(batched[i], want, exact, scale)
+        assert_element_matches(grid[i, i], want, exact, scale)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: VanillaOptionSpec(spot=40.0, strike=np.array([40.0, np.nan]), rate=0.05,
+                               vol=0.3, maturity=0.5), "strike must be finite, got nan"),
+    (lambda: VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05,
+                               vol=np.array([0.3, 0.0, 0.2]), maturity=0.5),
+     "vol must be positive, got 0.0"),
+    (lambda: VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05, vol=0.3,
+                               maturity=np.array([0.5, 1.0]), valuation_time=0.75),
+     "valuation_time 0.75 exceeds maturity 0.5"),
+    (lambda: QuantoSpec(s1=40.0, s2=1.0, sigma1=0.1, sigma2=0.3,
+                        rho=np.array([0.2, -1.5]), r1=0.03, r2=0.05, q=0.0, strike=40.0,
+                        maturity=0.5), r"rho must lie in \[-1, 1\], got -1.5"),
+    (lambda: BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0],
+                        covariance=[[[0.01, 0.0], [0.0, 0.09]], [[0.01, 0.1], [0.1, 0.09]]],
+                        rate=0.05, strike=40.0, maturity=0.5),
+     "covariance must be positive semidefinite"),
+    (lambda: reduce_quanto(QuantoSpec(s1=40.0, s2=1.0, sigma1=np.array([0.1, 0.3]),
+                                      sigma2=0.3, rho=1.0, r1=0.03, r2=0.05, q=0.0,
+                                      strike=40.0, maturity=0.5)),
+     "degenerate quanto volatility"),
+    (lambda: GeneralizedReducedParams(np.array([1.0, np.inf]), 0.5), "k1 must be finite"),
+], ids=["nan-strike", "zero-vol", "valuation-after-maturity", "rho-outside", "non-psd-stack",
+        "degenerate-quanto", "infinite-k1"])
+def test_one_bad_element_fails_closed(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_array_underflow_and_overflow_fail_closed():
+    # the array forms of the CLI's --vol 1e-200 and tiny-covariance cases raise,
+    # where numpy alone would return inf or nan for the one bad element
+    spec = VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05,
+                             vol=np.array([0.3, 1e-200]), maturity=0.5)
+    for pricer in (hpm_series.price_single_hpm1, hpm_series.price_single_hpm2):
+        with pytest.raises(ValueError, match="vol 1e-200 is too small"):
+            pricer(spec)
+    basket = BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0],
+                        covariance=[[[0.01, 0.0], [0.0, 0.09]],
+                                    [[1e-300, 0.0], [0.0, 1e-300]]],
+                        rate=0.05, strike=40.0, maturity=0.5)
+    with pytest.raises(ValueError, match="series terms overflow"):
+        hpm_series.price_basket_hpm(basket)
+    with pytest.raises(ValueError, match="series terms overflow"):
+        phi_term(4, 0.5, GeneralizedReducedParams(np.array([0.5, 1e200]), 0.0))

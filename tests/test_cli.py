@@ -244,6 +244,41 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "single", "--vol", "1e-200", "--method", "hpm2"],
+    ["price", "single", "--vol", "1e-200", "--method", "hpm1"],
+    ["figure", "1", "--vol", "1e-200"],
+    ["price", "basket", "--covariance", "1e-300,0;0,1e-300", "--method", "hpm2"],
+], ids=["vol-underflow-hpm2", "vol-underflow-hpm1", "vol-underflow-figure",
+        "series-overflow-basket"])
+def test_extreme_parameters_fail_closed(argv, tmp_path, capsys):
+    # vol^2 underflows to 0, or the basket's k1 ~ 2e299 overflows the series
+    # coefficients: one error line and exit 2, never a traceback
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+
+
+def test_shared_parser_parses_each_argv_afresh(capsys):
+    # the argparse tree is built once per process; parsing must not leave
+    # state behind in it
+    assert main(["price", "single", "--vol", "0.2"]) == 0
+    first = capsys.readouterr().out
+    assert main(["price", "single"]) == 0
+    second = capsys.readouterr().out
+    assert "vol=0.2\n" in first and "vol=0.324336\n" in second
+    parser = cli._shared_parser()
+    quanto = parser.parse_args(["price", "quanto", "--rho", "0.5"])
+    check = parser.parse_args(["validate"])
+    assert (quanto.contract, quanto.rho) == ("quanto", 0.5)
+    assert check.command == "validate" and not hasattr(check, "rho")
+    assert parser.parse_args(["price", "quanto"]).rho is None
+    assert cli._shared_parser() is parser
+
+
 def test_bad_config_file_exit_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mystery": True}))
@@ -387,14 +422,16 @@ def test_validate_exit_code_reflects_failures(monkeypatch, capsys):
 
 def test_corrupted_term_constant_fails_residual_check(monkeypatch):
     # mutation probe: a wrong constant in the second series term must be
-    # caught by the recursion-residual check, by name
-    original = hpm_series.phi_term
+    # caught by the recursion-residual check, by name; the residual stencil
+    # evaluates the terms through the polynomial factors, so the probe
+    # corrupts the constant of P_2 there
+    original = hpm_series._phi_polys
 
-    def corrupted(n, xi, params):
-        value = original(n, xi, params)
-        return value + 1e-4 if n == 2 else value
+    def corrupted(n, z, k1, k2):
+        p, q = original(n, z, k1, k2)
+        return (p + 1e-4, q) if n == 2 else (p, q)
 
-    monkeypatch.setattr(hpm_series, "phi_term", corrupted)
+    monkeypatch.setattr(hpm_series, "_phi_polys", corrupted)
     results = validation.check_recursion_residuals("default")
     residual = [r for r in results if r.name == "recursion-residuals"][0]
     assert not residual.passed

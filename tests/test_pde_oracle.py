@@ -190,16 +190,17 @@ def test_estimator_is_second_order():
 
 def test_residual_detects_corrupted_term(monkeypatch):
     # mutation check: breaking one constant in the second term must surface
-    # as a nonzero recursion residual
-    original = hpm_series.phi_term
+    # as a nonzero recursion residual; the stencil evaluates the terms
+    # through the polynomial factors, so the constant of P_2 is broken there
+    original = hpm_series._phi_polys
 
-    def corrupted(n, xi, params):
-        value = original(n, xi, params)
+    def corrupted(n, z, k1, k2):
+        p, q = original(n, z, k1, k2)
         if n == 2:
-            return value + 1e-4
-        return value
+            return p + 1e-4, q
+        return p, q
 
-    monkeypatch.setattr(hpm_series, "phi_term", corrupted)
+    monkeypatch.setattr(hpm_series, "_phi_polys", corrupted)
     r = richardson_residual(2, GeneralizedReducedParams(0.95, 0.95), 0.4, 0.3)
     assert abs(r) > 1e-6
 
