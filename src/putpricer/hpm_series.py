@@ -244,9 +244,10 @@ def _check_term_args(n, value, name):
 
 
 def _check_coordinate(value, name):
+    # the same cap as on |k| keeps z^6 finite; the comparison also fails on nan and inf
     arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: coordinate must be finite")
+    if not (np.abs(arr) <= _MAX_COEF).all():
+        raise ValueError(f"{name}: coordinate must be finite and at most 1e50 in magnitude")
     return arr
 
 

@@ -7,7 +7,8 @@ A Crank-Nicolson finite-difference solver for
 plus central-difference residual probes for the series-term recursion.
 The solver is the verification side of every closed-form formula in this
 library, so it deliberately shares nothing with them beyond the boundary
-values it is asked to use.
+values it is asked to use.  Its steps share one tridiagonal system, solved
+directly in a few array operations per step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -76,31 +76,44 @@ def _shifted_nodes(grid: GridSpec):
     return grid.y_min + delta + h * np.arange(grid.ny + 2), h
 
 
-def _thomas_factor(lower, diag, upper, n):
-    # constant-coefficient tridiagonal: factor once, reuse each step
-    cp = [0.0] * n
-    denom = [0.0] * n
-    denom[0] = diag
-    cp[0] = upper / diag
-    for i in range(1, n):
-        denom[i] = diag - lower * cp[i - 1]
-        cp[i] = upper / denom[i]
-    return cp, denom
+def _tridiagonal_solver(lower, diag, upper, n):
+    """Direct solve of the constant tridiagonal system T of order n, set up once.
 
+    SPIKE-style: T padded to p blocks B of m = round(sqrt(2n)) rows is
+    D + U V^T with D = blockdiag(B, ...), so by Woodbury T^-1 r = y - z y[cols]
+    with y = D^-1 r, z = D^-1 U (I + V^T D^-1 U)^-1.  Returns the rhs buffer
+    and its solve.
+    """
+    m = round(math.sqrt(2 * n))
+    p = -(-n // m)
+    size = p * m
+    binv = np.linalg.inv(np.diag(np.full(m, diag)) + np.diag(np.full(m - 1, lower), -1)
+                         + np.diag(np.full(m - 1, upper), 1))
+    # couplings between rows e - 1 and e: T has them across the block edges,
+    # the blocks have one across row n, where the padding starts inside a block
+    edges = np.arange(m, size, m)
+    if n < size:
+        edges = np.append(edges, n)
+    values = np.outer(np.where(edges % m, -1.0, 1.0), [upper, lower]).reshape(-1, 1)
+    rows = np.stack([edges - 1, edges], axis=1).ravel()
+    cols = np.stack([edges, edges - 1], axis=1).ravel()
+    # column j of D^-1 U is values[j] times column rows[j] % m of B^-1, in block rows[j] // m
+    k = rows.size
+    dinv_u = np.zeros((size, k))
+    dinv_u.reshape(p, m, k)[rows // m, :, np.arange(k)] = binv[:, rows % m].T * values
+    z = (np.linalg.inv(np.eye(k) + dinv_u[cols]).T @ dinv_u.T).T   # column-major
+    # the decay of B^-1 leaves subnormal entries in z, which would slow every
+    # step's product about twofold while adding nothing to it
+    z[np.abs(z) < np.finfo(float).tiny] = 0.0
+    rhs = np.zeros(size)
+    blocks = rhs.reshape(p, m)
 
-def _thomas_solve(lower, cp, denom, rhs):
-    # forward sweep and back substitution, each one pass over zipped lists
-    prev = rhs[0] / denom[0]
-    dp = [prev]
-    for r, d in islice(zip(rhs, denom), 1, None):
-        prev = (r - lower * prev) / d
-        dp.append(prev)
-    x = [prev]
-    for d, c in islice(zip(reversed(dp), reversed(cp)), 1, None):
-        prev = d - c * prev
-        x.append(prev)
-    x.reverse()
-    return x
+    def solve():
+        x = (blocks @ binv.T).ravel()
+        x -= z @ x[cols]
+        return x[:n]
+
+    return rhs[:n], solve
 
 
 def _boundary_values(boundary, params: GeneralizedReducedParams, y_lo, y_hi, taus):
@@ -134,7 +147,8 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
     Dirichlet data: exact closed-form values (default, isolates interior
     discretization error), the deep-tail payoff asymptote (independence
     mode), or a (left, right) pair of callables of tau.  Second order in
-    both h and dtau.
+    both h and dtau.  Every step solves the same tridiagonal system,
+    through one `_tridiagonal_solver` set up per call.
     """
     if not (math.isfinite(tau_final) and tau_final > 0.0):
         raise ValueError(f"tau_final must be positive and finite, got {tau_final}")
@@ -155,7 +169,7 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
     lower = -0.5 * dtau * a_coef
     diag = 1.0 - 0.5 * dtau * b_coef
     upper = -0.5 * dtau * c_coef
-    cp, denom = _thomas_factor(lower, diag, upper, grid.ny)
+    rhs, solve = _tridiagonal_solver(lower, diag, upper, grid.ny)
 
     ea = 0.5 * dtau * a_coef
     eb = 1.0 + 0.5 * dtau * b_coef
@@ -167,12 +181,15 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
     u[0] = left[0]
     u[-1] = right[0]
     min_value = u.min()
+    scratch = np.empty(grid.ny)
 
     for step in range(1, grid.n_steps + 1):
-        rhs = ea * u[:-2] + eb * u[1:-1] + ec * u[2:]
+        np.multiply(u[1:-1], eb, out=rhs)
+        rhs += np.multiply(u[:-2], ea, out=scratch)
+        rhs += np.multiply(u[2:], ec, out=scratch)
         rhs[0] -= lower * left[step]
         rhs[-1] -= upper * right[step]
-        u[1:-1] = _thomas_solve(lower, cp, denom, rhs.tolist())
+        u[1:-1] = solve()
         u[0] = left[step]
         u[-1] = right[step]
         min_value = np.minimum(min_value, u.min())

@@ -57,8 +57,9 @@ def _result(out, shape=None):
 
 
 def _exp_neg_sq(x):
-    # exp(-x^2) with the argument split so the rounding of x*x does not
-    # contaminate the relative error at large |x|
+    # exp(-x^2) for x >= 0, split so the rounding of x*x does not contaminate
+    # the relative error at large x; saturated at 28, where it is 0 already
+    x = np.minimum(x, 28.0)
     ysq = np.trunc(16.0 * x) / 16.0
     delta = (x - ysq) * (x + ysq)
     return np.exp(-ysq * ysq) * np.exp(-delta)

@@ -222,6 +222,15 @@ def test_price_single_tiny_spot_hits_discount_bound(capsys):
     assert price == pytest.approx(40.0 * math.exp(-0.05 * 0.5), abs=2e-4)
 
 
+@pytest.mark.filterwarnings("error")
+def test_price_single_vanishing_vol_prints_no_warning(capsys):
+    # d1, d2 ~ 1e198: the normal CDFs saturate without an overflow warning
+    assert main(["price", "single", "--vol", "1e-200"]) == 0
+    captured = capsys.readouterr()
+    assert "price:     0\n" in captured.out
+    assert captured.err == ""
+
+
 def test_price_quanto_exact_regression(capsys):
     assert main(["price", "quanto", "--method", "exact"]) == 0
     assert "96.9560413994" in capsys.readouterr().out

@@ -170,6 +170,17 @@ def test_term_index_validation():
         phi_term(2, float("nan"), params)
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_coordinates_refused():
+    # past |z| = 1e50 the order-5 factors' z^6 overflows; a tau of 1e-300
+    # puts y / sqrt(tau) at 1e150, which used to give nan after warnings
+    params = GeneralizedReducedParams(0.7, 1.2)
+    with pytest.raises(ValueError, match="at most 1e50"):
+        hpm_reduced_sum(1.0, 1e-300, params)
+    with pytest.raises(ValueError, match="at most 1e50"):
+        phi_term(2, 1e60, params)
+
+
 def test_term_bound_message_follows_max_order(monkeypatch):
     import putpricer.hpm_series as hpm
 

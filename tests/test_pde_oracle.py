@@ -7,8 +7,7 @@ from putpricer import hpm_series
 from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
-    _thomas_factor,
-    _thomas_solve,
+    _tridiagonal_solver,
     cn_solve,
     fd_residual,
     richardson_residual,
@@ -74,8 +73,10 @@ def test_constant_solution_preserved_without_reaction():
         initial=lambda y: np.full_like(y, c),
         boundary=(lambda tau: c, lambda tau: c),
     )
-    assert np.abs(sol.final - c).max() == 0.0
-    assert sol.min_value == c
+    # the direct solve reproduces the constant to rounding, not bit for bit
+    tol = 16 * np.finfo(float).eps * c
+    assert np.abs(sol.final - c).max() <= tol
+    assert abs(sol.min_value - c) <= tol
 
 
 def test_matches_closed_form_at_origin():
@@ -130,21 +131,67 @@ def test_exact_boundary_equals_scalar_callable_pair(params):
     assert np.array_equal(sol.final, reference.final)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 800])
-def test_thomas_solve_matches_indexed_sweeps(n):
-    # the zipped sweeps must give the bits of the textbook index loops
-    lower, diag, upper = -0.31, 1.7, -0.36
-    cp, denom = _thomas_factor(lower, diag, upper, n)
-    rhs = np.random.default_rng(n).normal(size=n).tolist()
-    dp = [0.0] * n
-    dp[0] = rhs[0] / denom[0]
-    for i in range(1, n):
-        dp[i] = (rhs[i] - lower * dp[i - 1]) / denom[i]
-    expected = [0.0] * n
-    expected[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        expected[i] = dp[i] - cp[i] * expected[i + 1]
-    assert np.array_equal(_thomas_solve(lower, cp, denom, rhs), expected)
+def _cn_matrix(lower, diag, upper, n):
+    return (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, lower), -1)
+            + np.diag(np.full(n - 1, upper), 1))
+
+
+@pytest.mark.parametrize("ny", [16, 17, 97, 801, 2000])
+def test_tridiagonal_solver_matches_dense_solve(ny):
+    # CN systems of the reduced equation on [-4, 4]: a fixed draw that is not
+    # diagonally dominant on the coarse grids (|k1 - 1| h > 2), then random ones
+    rng = np.random.default_rng(ny)
+    h = 8.0 / (ny + 1)
+    draws = [(100.0, -5.0, 0.1)] + [
+        (rng.uniform(-100.0, 100.0), rng.uniform(-5.0, 100.0), 10.0 ** rng.uniform(-6.0, -1.0))
+        for _ in range(6)
+    ]
+    for k1, k2, dtau in draws:
+        lower = -0.5 * dtau * (1.0 / (h * h) - (k1 - 1.0) / (2.0 * h))
+        diag = 1.0 + 0.5 * dtau * (2.0 / (h * h) + k2)
+        upper = -0.5 * dtau * (1.0 / (h * h) + (k1 - 1.0) / (2.0 * h))
+        rhs, solve = _tridiagonal_solver(lower, diag, upper, ny)
+        rhs[:] = rng.normal(size=ny)
+        expected = np.linalg.solve(_cn_matrix(lower, diag, upper, ny), rhs)
+        assert np.abs(solve() - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_cn_run_matches_dense_stepping():
+    # the whole time loop against a reference that steps with a dense solve;
+    # data of order one at both edges, so an error in any row shows
+    params = GeneralizedReducedParams(3.0, 4.0)
+    grid = GridSpec(ny=64, n_steps=32)
+    tau_final = 0.2
+
+    def initial(y):
+        return 1.0 + 0.5 * np.sin(y)
+
+    def left(tau):
+        return 0.6 + tau
+
+    def right(tau):
+        return 1.4 - tau
+
+    sol = cn_solve(params, tau_final, grid, initial=initial, boundary=(left, right))
+
+    y = sol.y
+    h = y[1] - y[0]
+    dtau = tau_final / grid.n_steps
+    a = 1.0 / (h * h) - (params.k1 - 1.0) / (2.0 * h)
+    b = -2.0 / (h * h) - params.k2
+    c = 1.0 / (h * h) + (params.k1 - 1.0) / (2.0 * h)
+    implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, grid.ny)
+    explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, grid.ny)
+
+    u = initial(y[1:-1])
+    for step in range(1, grid.n_steps + 1):
+        before, after = (step - 1) * dtau, step * dtau
+        rhs = explicit @ u
+        rhs[0] += 0.5 * dtau * a * (left(before) + left(after))
+        rhs[-1] += 0.5 * dtau * c * (right(before) + right(after))
+        u = np.linalg.solve(implicit, rhs)
+    assert np.abs(sol.final[1:-1] - u).max() <= 1e-13
+    assert (sol.final[0], sol.final[-1]) == (left(tau_final), right(tau_final))
 
 
 # ---------------------------------------------------------------------------

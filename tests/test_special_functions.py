@@ -137,6 +137,15 @@ def test_erfc_saturations():
     assert erfc(-np.inf) == 2.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_arguments_saturate_without_warnings():
+    # x * x overflows past ~1.3e154; the Gaussian factor is 0 long before
+    assert erfc(1e200) == 0.0
+    assert normal_cdf(-1e200) == 0.0
+    assert np.array_equal(erfc(np.array([27.0, 1e200, np.finfo(float).max])),
+                          [erfc(27.0), 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # erfcx
 # ---------------------------------------------------------------------------
