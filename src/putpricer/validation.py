@@ -31,7 +31,7 @@ import numpy as np
 
 from . import hpm_series
 from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
-from .pde_oracle import GridSpec, cn_solve, fd_residual, richardson_residual
+from .pde_oracle import GridSpec, _richardson_residuals, cn_solve, fd_residual
 from .special_functions import erf, normal_cdf
 from .transforms import (
     BasketSpec,
@@ -114,17 +114,16 @@ def check_specialization_identity(profile="default"):
     rng = np.random.default_rng(2024)
     xi = rng.uniform(-10.0, 10.0, 1000)
     ks = rng.uniform(0.1, 3.0, 1000)[:20, None]   # k on the first axis, xi on the second
+    orders = range(hpm_series.MAX_ORDER)
     worst = 0.0
-    for n in range(hpm_series.MAX_ORDER):
-        # ten k per call keeps every array below glibc's 128 KB mmap threshold;
-        # freeing a larger one raises that threshold and grows the heap for
-        # the rest of the process
-        for k in (ks[:10], ks[10:]):
-            diff = np.abs(
-                hpm_series.phi_term(n, xi, GeneralizedReducedParams(k, k))
-                - hpm_series.single_asset_term(n, xi, k)
-            )
-            worst = max(worst, float(diff.max()))
+    # every order in one pass, two k per call: arrays stay below glibc's 128 KB mmap
+    # threshold; freeing a larger one raises it and grows the heap for the rest of the process
+    for k in np.split(ks, 10):
+        diff = np.abs(
+            hpm_series._phi_terms(orders, xi, GeneralizedReducedParams(k, k))
+            - hpm_series._terms(hpm_series._single_polys, orders, xi, k)
+        )
+        worst = max(worst, float(diff.max()))
     bound = _tol(1e-12, profile)
     return [CheckResult("specialization-identity", worst, f"<= {bound:.1e}",
                         worst <= bound)]
@@ -139,8 +138,7 @@ def check_recursion_residuals(profile="default"):
         params = GeneralizedReducedParams(float(k1), float(k2))
         z = _uniform(row[2:1002], -3.0, 3.0)
         w = float(_uniform(row[1002], 0.05, 0.8))
-        for n in range(hpm_series.MAX_ORDER):
-            r = richardson_residual(n, params, z, w, 0.02)
+        for r in _richardson_residuals(range(hpm_series.MAX_ORDER), params, z, w, 0.02):
             worst = max(worst, float(np.abs(r).max()))
     bound = _tol(1e-8, profile)
     results = [CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",

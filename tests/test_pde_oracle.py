@@ -7,7 +7,7 @@ from putpricer import hpm_series
 from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
-    _tridiagonal_solver,
+    _cn_stepper,
     cn_solve,
     fd_residual,
     richardson_residual,
@@ -32,6 +32,24 @@ def test_grid_validation():
         GridSpec(n_steps=0)
     with pytest.raises(TypeError, match="theta"):
         GridSpec(theta=0.5)   # the solver is Crank-Nicolson only
+
+
+@pytest.mark.parametrize("bounds", [(-4.0, math.inf), (-math.inf, 4.0), (math.nan, 4.0)])
+def test_grid_refuses_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(y_min=bounds[0], y_max=bounds[1])
+
+
+def test_grid_refuses_overflowing_spacing():
+    with pytest.raises(ValueError, match="spacing"):
+        GridSpec(y_min=-1e308, y_max=1e308)
+
+
+@pytest.mark.parametrize("field, value", [("ny", 100.0), ("ny", True), ("n_steps", 10.0),
+                                          ("n_steps", True)])
+def test_grid_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match="ny and n_steps must be integers"):
+        GridSpec(**{field: value})
 
 
 def test_solver_input_validation():
@@ -137,8 +155,8 @@ def _cn_matrix(lower, diag, upper, n):
 
 
 @pytest.mark.parametrize("ny", [16, 17, 97, 801, 2000])
-def test_tridiagonal_solver_matches_dense_solve(ny):
-    # CN systems of the reduced equation on [-4, 4]: a fixed draw that is not
+def test_cn_step_matches_dense_step(ny):
+    # CN steps of the reduced equation on [-4, 4]: a fixed draw that is not
     # diagonally dominant on the coarse grids (|k1 - 1| h > 2), then random ones
     rng = np.random.default_rng(ny)
     h = 8.0 / (ny + 1)
@@ -147,18 +165,26 @@ def test_tridiagonal_solver_matches_dense_solve(ny):
         for _ in range(6)
     ]
     for k1, k2, dtau in draws:
-        lower = -0.5 * dtau * (1.0 / (h * h) - (k1 - 1.0) / (2.0 * h))
-        diag = 1.0 + 0.5 * dtau * (2.0 / (h * h) + k2)
-        upper = -0.5 * dtau * (1.0 / (h * h) + (k1 - 1.0) / (2.0 * h))
-        rhs, solve = _tridiagonal_solver(lower, diag, upper, ny)
-        rhs[:] = rng.normal(size=ny)
-        expected = np.linalg.solve(_cn_matrix(lower, diag, upper, ny), rhs)
-        assert np.abs(solve() - expected).max() <= 1e-12 * np.abs(expected).max()
+        a = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)
+        b = -2.0 / (h * h) - k2
+        c = 1.0 / (h * h) + (k1 - 1.0) / (2.0 * h)
+        u, step = _cn_stepper(a, b, c, dtau, ny)
+        u[:] = rng.normal(size=ny + 2)
+        # one dense step: the explicit half over every node, edges included
+        explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, ny + 2)[1:-1]
+        implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, ny)
+        expected = np.linalg.solve(implicit, explicit @ u)
+        edges = u[[0, -1]]
+        step()
+        assert np.abs(u[1:-1] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(u[[0, -1]], edges)
 
 
 def test_cn_run_matches_dense_stepping():
     # the whole time loop against a reference that steps with a dense solve;
-    # data of order one at both edges, so an error in any row shows
+    # data of order one at both edges, so an error in any row shows.  The
+    # second left edge falls below every interior value, so the least value
+    # over the run sits on an edge
     params = GeneralizedReducedParams(3.0, 4.0)
     grid = GridSpec(ny=64, n_steps=32)
     tau_final = 0.2
@@ -166,32 +192,34 @@ def test_cn_run_matches_dense_stepping():
     def initial(y):
         return 1.0 + 0.5 * np.sin(y)
 
-    def left(tau):
-        return 0.6 + tau
-
     def right(tau):
         return 1.4 - tau
 
-    sol = cn_solve(params, tau_final, grid, initial=initial, boundary=(left, right))
+    for left in (lambda tau: 0.6 + tau, lambda tau: 0.6 - 3.0 * tau):
+        sol = cn_solve(params, tau_final, grid, initial=initial, boundary=(left, right))
 
-    y = sol.y
-    h = y[1] - y[0]
-    dtau = tau_final / grid.n_steps
-    a = 1.0 / (h * h) - (params.k1 - 1.0) / (2.0 * h)
-    b = -2.0 / (h * h) - params.k2
-    c = 1.0 / (h * h) + (params.k1 - 1.0) / (2.0 * h)
-    implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, grid.ny)
-    explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, grid.ny)
+        y = sol.y
+        h = y[1] - y[0]
+        dtau = tau_final / grid.n_steps
+        a = 1.0 / (h * h) - (params.k1 - 1.0) / (2.0 * h)
+        b = -2.0 / (h * h) - params.k2
+        c = 1.0 / (h * h) + (params.k1 - 1.0) / (2.0 * h)
+        implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, grid.ny)
+        explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, grid.ny)
 
-    u = initial(y[1:-1])
-    for step in range(1, grid.n_steps + 1):
-        before, after = (step - 1) * dtau, step * dtau
-        rhs = explicit @ u
-        rhs[0] += 0.5 * dtau * a * (left(before) + left(after))
-        rhs[-1] += 0.5 * dtau * c * (right(before) + right(after))
-        u = np.linalg.solve(implicit, rhs)
-    assert np.abs(sol.final[1:-1] - u).max() <= 1e-13
-    assert (sol.final[0], sol.final[-1]) == (left(tau_final), right(tau_final))
+        u = initial(y[1:-1])
+        least = min(left(0.0), u.min(), right(0.0))
+        for step in range(1, grid.n_steps + 1):
+            before, after = (step - 1) * dtau, step * dtau
+            rhs = explicit @ u
+            rhs[0] += 0.5 * dtau * a * (left(before) + left(after))
+            rhs[-1] += 0.5 * dtau * c * (right(before) + right(after))
+            u = np.linalg.solve(implicit, rhs)
+            least = min(least, left(after), u.min(), right(after))
+        assert np.abs(sol.final[1:-1] - u).max() <= 1e-13
+        assert (sol.final[0], sol.final[-1]) == (left(tau_final), right(tau_final))
+        # the least value over every level, edge values included
+        assert abs(sol.min_value - least) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
