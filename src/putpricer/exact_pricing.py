@@ -141,21 +141,22 @@ def reduced_exact_u(y, tau, params: GeneralizedReducedParams):
         raise ValueError("reduced_exact_u: tau must be positive (payoff applies at tau=0)")
     k1, k2 = params.k1, params.k2
     root = np.sqrt(2.0 * tau_arr)
-    d1 = y_arr / root + root * (k1 - 1.0) / 2.0
     d2 = y_arr / root + root * (k1 + 1.0) / 2.0
-    first = np.exp(-k2 * tau_arr) * normal_cdf(-d1)
+    # d1 = y/sqrt(2 tau) + sqrt(tau/2)(k1 - 1) is used only here, so it is not kept alive
+    first = np.exp(-k2 * tau_arr) * normal_cdf(-(y_arr / root + root * (k1 - 1.0) / 2.0))
     # second term scaled through erfcx when d2 > 0 so e^y * N(-d2) cannot
     # overflow/underflow pairwise for far-out coordinates; each branch is
     # evaluated only where it applies
     expo = y_arr + (k1 - k2) * tau_arr
-    if expo.shape != d2.shape:   # k2 adds axes that d2 lacks, or the other way round
-        d2, expo = np.broadcast_arrays(d2, expo)
-    second = np.zeros(d2.shape)
-    plain = d2 <= 0
-    if plain.any():
-        second[plain] = np.exp(expo[plain]) * normal_cdf(-d2[plain])
-    scaled = d2 > 0
-    if scaled.any():
-        ds = d2[scaled]
-        second[scaled] = 0.5 * np.exp(expo[scaled] - 0.5 * ds * ds) * erfcx(ds / SQRT_TWO)
-    return _result(first - second)
+    shape = np.broadcast_shapes(d2.shape, expo.shape)   # k2 may add axes that d2 lacks
+    d2 = np.broadcast_to(d2, shape).reshape(-1)
+    expo = np.broadcast_to(expo, shape).reshape(-1)
+    second = np.zeros(d2.size)
+    at = (d2 <= 0).nonzero()[0]
+    if at.size:
+        second[at] = np.exp(expo[at]) * normal_cdf(-d2[at])
+    at = (d2 > 0).nonzero()[0]
+    if at.size:
+        ds = d2[at]
+        second[at] = 0.5 * np.exp(expo[at] - 0.5 * ds * ds) * erfcx(ds / SQRT_TWO)
+    return _result(first - second.reshape(shape))

@@ -58,30 +58,33 @@ _INV_SQRT_PI = 1.0 / SQRT_PI
 
 
 def _sides(z):
-    """Split z at 0 and evaluate each side's special functions once.
+    """Split z at 0 by flat index and evaluate each side's special functions once.
 
-    Yields (mask, zs, combine) for each side that has points, where
-    combine(p, q) = p G(zs) + q (erf(zs/2) - 1) for polynomials evaluated
-    on zs: through G and erfc(z/2) left of 0, through exp(-z^2/4) and
-    erfcx(z/2) right of it.  Every term of a sum reuses the factors.
+    Yields (at, zs, combine) for each side that has points, where `at`
+    indexes z flattened and combine(p, q) = p G(zs) + q (erf(zs/2) - 1) for
+    polynomials evaluated on zs: through G and erfc(z/2) left of 0, through
+    exp(-z^2/4) and erfcx(z/2) right of it.  Every term of a sum reuses the
+    factors.
     """
+    z = z.reshape(-1)
     left = z <= 0.0
-    if left.any():
-        zl = z[left]
+    at = left.nonzero()[0]
+    if at.size:
+        zl = z[at]
         gauss = np.exp(-0.25 * zl * zl) * _INV_SQRT_PI
         tail = erfc(0.5 * zl)
-        yield left, zl, lambda p, q: p * gauss - q * tail
-    right = ~left
-    if right.any():
-        zr = z[right]
+        yield at, zl, lambda p, q: p * gauss - q * tail
+    at = (~left).nonzero()[0]
+    if at.size:
+        zr = z[at]
         decay = np.exp(-0.25 * zr * zr)
         scaled = erfcx(0.5 * zr)
-        yield right, zr, lambda p, q: decay * (p * _INV_SQRT_PI - q * scaled)
+        yield at, zr, lambda p, q: decay * (p * _INV_SQRT_PI - q * scaled)
 
 
-def _on_side(coef, mask):
-    """A coefficient on one side's points: a float as is, an array broadcast like z and masked."""
-    return coef if _is_float(coef) else np.broadcast_to(coef, mask.shape)[mask]
+def _on_side(coef, at, shape):
+    """A coefficient on one side's points: a float as is, an array broadcast and indexed flat."""
+    return coef if _is_float(coef) else np.broadcast_to(coef, shape).reshape(-1)[at]
 
 
 def _with_coefs(z, *coefs):
@@ -110,30 +113,30 @@ def _terms(polys, orders, z, *coefs):
     """
     _check_coefs(*coefs)
     z = _with_coefs(z, *coefs)
-    out = np.empty((len(orders),) + z.shape)
-    for mask, zs, combine in _sides(z):
-        side_coefs = [_on_side(c, mask) for c in coefs]
+    out = np.empty((len(orders), z.size))
+    for at, zs, combine in _sides(z):
+        side_coefs = [_on_side(c, at, z.shape) for c in coefs]
         for row, n in zip(out, orders):
-            row[mask] = combine(*polys(n, zs, *side_coefs))
-    return out
+            row[at] = combine(*polys(n, zs, *side_coefs))
+    return out.reshape((len(orders),) + z.shape)
 
 
 def _series(z, w, order, k1, k2):
     """sum_{n<order} f_n(z) w^{n+1} of the (k1, k2) family, term by term on each side of z = 0."""
     _check_coefs(k1, k2)
     z = _with_coefs(z, k1, k2)
-    w = np.broadcast_to(w, z.shape)
-    total = np.empty(z.shape)
-    for mask, zs, combine in _sides(z):
-        ws = w[mask]
-        k1s, k2s = _on_side(k1, mask), _on_side(k2, mask)
+    w = np.broadcast_to(w, z.shape).reshape(-1)
+    total = np.empty(z.size)
+    for at, zs, combine in _sides(z):
+        ws = w[at]
+        k1s, k2s = _on_side(k1, at, z.shape), _on_side(k2, at, z.shape)
         side = np.zeros_like(zs)
         w_pow = ws
         for n in range(order):
             side = side + combine(*_phi_polys(n, zs, k1s, k2s)) * w_pow
             w_pow = w_pow * ws
-        total[mask] = side
-    return total
+        total[at] = side
+    return total.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +145,9 @@ def _series(z, w, order, k1, k2):
 
 
 def _phi_polys(n, z, k1, k2):
-    one = np.ones_like(z)
-    z2 = z * z
     if n == 0:
-        return one, 0.5 * z
+        return np.ones_like(z), 0.5 * z
+    z2 = z * z
     if n == 1:
         return 0.5 * z, 0.25 * (z2 + 2.0 * k1)
     d = k1 - k2
@@ -192,10 +194,9 @@ def _phi_polys(n, z, k1, k2):
 
 
 def _single_polys(n, z, k):
-    one = np.ones_like(z)
-    z2 = z * z
     if n == 0:
-        return one, 0.5 * z
+        return np.ones_like(z), 0.5 * z
+    z2 = z * z
     if n == 1:
         return 0.5 * z, 0.25 * (z2 + 2.0 * k)
     if n == 2:

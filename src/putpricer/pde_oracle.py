@@ -213,11 +213,13 @@ def cn_solve(params: GeneralizedReducedParams, tau_final: float, grid: GridSpec,
 
 
 def _fd_residuals(term_indices, params, z, w, steps):
-    """fd_residual of each order in `term_indices` at each step of `steps`.
+    """fd_residual of each order in `term_indices` (axis 0) at each step of `steps` (axis 1).
 
     One special-function pass evaluates every order the residuals need on
     the stacked stencil points [z, z + h, z - h for each h]; f_n(z) also
-    serves the w-derivative, which moves only the power of w.
+    serves the w-derivative, which moves only the power of w.  The steps
+    run along a leading axis, so each stencil operation of an order is one
+    array call.
     """
     for n in term_indices:
         if not 0 <= n < hpm_series.MAX_ORDER:
@@ -230,37 +232,42 @@ def _fd_residuals(term_indices, params, z, w, steps):
     points = np.stack([z] + [z + s for h in steps for s in (h, -h)])
     f = hpm_series._phi_terms(range(low, max(term_indices) + 1), points, params)
 
-    def u(m, point, ww):
-        # u_m = f_m(z) w^m at stencil point 0 (z), 2i + 1 (z + h_i) or 2i + 2 (z - h_i)
-        return f[m - low, point] * ww**m
+    def per_step(value):
+        # value(h) for each step, as a column against z
+        return np.array([value(h) for h in steps]).reshape((-1,) + (1,) * z.ndim)
 
+    # stencil rows of f: z, then z + h_i in row i of `plus` and z - h_i in row i of `minus`
+    centre, plus, minus = 0, slice(1, None, 2), slice(2, None, 2)
+
+    def u(m, point):
+        # u_m = f_m(z) w^m at the stencil point(s)
+        return f[m - low, point] * w**m
+
+    h_sq, two_h = per_step(lambda h: h * h), per_step(lambda h: 2.0 * h)
+    w_up, w_down = per_step(lambda h: w + h), per_step(lambda h: w - h)
     residuals = []
     for n in term_indices:
-        residuals.append([])
-        for i, h in enumerate(steps):
-            plus, minus = 2 * i + 1, 2 * i + 2
-            f_c = u(n, 0, w)
-            f_p = u(n, plus, w)
-            f_m = u(n, minus, w)
-            d2z = (f_p - 2.0 * f_c + f_m) / (h * h)
-            d1z = (f_p - f_m) / (2.0 * h)
-            dw = ((w + h) * u(n, 0, w + h) - (w - h) * u(n, 0, w - h)) / (2.0 * h)
-            resid = 2.0 * d2z + z * d1z - dw
-            if n >= 1:
-                g_p = u(n - 1, plus, w)
-                g_m = u(n - 1, minus, w)
-                resid = resid + 2.0 * (k1 - 1.0) * w * (g_p - g_m) / (2.0 * h)
-            if n >= 2:
-                resid = resid - 2.0 * k2 * w * w * u(n - 2, 0, w)
-            residuals[-1].append(_result(resid))
-    return residuals
+        f_c, f_p, f_m = u(n, centre), u(n, plus), u(n, minus)
+        d2z = (f_p - 2.0 * f_c + f_m) / h_sq
+        d1z = (f_p - f_m) / two_h
+        # u_n(z, w +- h) = f_n(z) (w +- h)^n, with the powers taken per step
+        dw = (w_up * (f[n - low, centre] * per_step(lambda h: (w + h) ** n))
+              - w_down * (f[n - low, centre] * per_step(lambda h: (w - h) ** n))) / two_h
+        resid = 2.0 * d2z + z * d1z - dw
+        if n >= 1:
+            resid = resid + 2.0 * (k1 - 1.0) * w * (u(n - 1, plus) - u(n - 1, minus)) / two_h
+        if n >= 2:
+            resid = resid - 2.0 * k2 * w * w * u(n - 2, centre)
+        residuals.append(resid)
+    return np.stack(residuals)
 
 
 def _richardson_residuals(term_indices, params, z, w, h):
     """richardson_residual of each order in `term_indices`, from one special-function pass."""
+    steps = (h, 0.5 * h, 0.25 * h)
+    r1, r2, r4 = np.moveaxis(_fd_residuals(term_indices, params, z, w, steps), 1, 0)
     # a1 = (4 r2 - r1)/3 and a2 = (4 r4 - r2)/3 cancel h^2, (16 a2 - a1)/15 then h^4
-    return [(16.0 * ((4.0 * r4 - r2) / 3.0) - (4.0 * r2 - r1) / 3.0) / 15.0
-            for r1, r2, r4 in _fd_residuals(term_indices, params, z, w, (h, 0.5 * h, 0.25 * h))]
+    return [_result(r) for r in (16.0 * ((4.0 * r4 - r2) / 3.0) - (4.0 * r2 - r1) / 3.0) / 15.0]
 
 
 def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
@@ -272,7 +279,7 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
     with u_n = f_n(z) w^n.  Vanishes analytically for every generalized
     term; the estimate is O(h^2).  Accepts scalar or array z.
     """
-    return _fd_residuals((term_index,), params, z, w, (h,))[0][0]
+    return _result(_fd_residuals((term_index,), params, z, w, (h,))[0, 0])
 
 
 def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,

@@ -3,6 +3,10 @@
 Rational minimax approximations (Cody-style) cover |x| <= 6; beyond that a
 Laplace continued fraction for the scaled complement exp(x^2)*erfc(x) takes
 over, so Gaussian-times-erfc products stay meaningful far into the tails.
+Each call splits |x| once into the four ranges (<= 0.46875, <= 4, <= 6,
+beyond, where +-inf lands), gathers each non-empty range once by integer
+index, computes its final value at |x| there and scatters it back once;
+one reflection over the negative elements then gives the value at x.
 Everything here is pure and stateless.
 """
 
@@ -37,6 +41,17 @@ _Q = (2.56852019228982242e0, 1.87295284992346047e0, 5.27905102951428412e-1,
       6.05183413124413191e-2, 2.33520497626869185e-3)
 
 
+def _rows(num, den):
+    # (numerator, denominator) coefficient pairs from the leading one down, shaped
+    # for _horner; a denominator's leading 1.0 multiplies exactly
+    return np.array(list(zip(num, den)))[:, :, None]
+
+
+_SMALL_RATIO = _rows((_A[4],) + _A[:4], (1.0,) + _B)
+_MID_RATIO = _rows((_C[8],) + _C[:8], (1.0,) + _D)
+_FAR_RATIO = _rows((_P[5],) + _P[:5], (1.0,) + _Q)
+
+
 def _as_array(x, name):
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
@@ -52,128 +67,134 @@ def _result(out, shape=None):
     promotion inside the body.
     """
     if shape is not None:
-        out = np.reshape(out, shape)
+        out = out.reshape(shape)
     return out if getattr(out, "ndim", 0) else float(out)
+
+
+def _horner(x, ratio):
+    # numerator and denominator rows ((c0 x + c1) x + ...) x + c_last of a
+    # rational, evaluated together in one array updated in place
+    acc = ratio[0] * x
+    for c in ratio[1:-1]:
+        acc += c
+        acc *= x
+    acc += ratio[-1]
+    return acc
 
 
 def _exp_neg_sq(x):
     # exp(-x^2) for x >= 0, split so the rounding of x*x does not contaminate
     # the relative error at large x; saturated at 28, where it is 0 already
     x = np.minimum(x, 28.0)
-    ysq = np.trunc(16.0 * x) / 16.0
-    delta = (x - ysq) * (x + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-delta)
+    ysq = 16.0 * x
+    np.trunc(ysq, out=ysq)
+    ysq /= 16.0                     # x rounded down to a multiple of 1/16
+    delta = x - ysq
+    x += ysq
+    delta *= x                      # x^2 - ysq^2
+    np.negative(delta, out=delta)
+    np.exp(delta, out=delta)
+    out = np.negative(ysq, out=x)
+    out *= ysq
+    np.exp(out, out=out)
+    out *= delta
+    return out
 
 
 def _erf_small(x):
     # |x| <= 0.46875
-    y = x * x
-    num = _A[4] * y
-    den = y
-    for a, b in zip(_A[:3], _B[:3]):
-        num = (num + a) * y
-        den = (den + b) * y
-    return x * (num + _A[3]) / (den + _B[3])
+    num, den = _horner(x * x, _SMALL_RATIO)
+    num *= x
+    num /= den
+    return num
 
 
 def _erfcx_mid(x):
     # 0.46875 < x <= 4: the mid-range rational is the scaled complement
-    num = _C[8] * x
-    den = x
-    for c, d in zip(_C[:7], _D[:7]):
-        num = (num + c) * x
-        den = (den + d) * x
-    return (num + _C[7]) / (den + _D[7])
+    num, den = _horner(x, _MID_RATIO)
+    num /= den
+    return num
 
 
 def _erfcx_far(x):
     # 4 < x <= 6
-    y = 1.0 / (x * x)
-    num = _P[5] * y
-    den = y
-    for p, q in zip(_P[:4], _Q[:4]):
-        num = (num + p) * y
-        den = (den + q) * y
-    r = y * (num + _P[4]) / (den + _Q[4])
-    return (_INV_SQRT_PI - r) / x
+    y = x * x
+    np.divide(1.0, y, out=y)
+    num, den = _horner(y, _FAR_RATIO)
+    num *= y
+    num /= den
+    np.subtract(_INV_SQRT_PI, num, out=num)
+    num /= x
+    return num
 
 
 def _erfcx_cf(x, terms=40):
     # x >= 6: Laplace continued fraction, evaluated bottom-up
     tail = np.zeros_like(x)
     for n in range(terms, 0, -1):
-        tail = (0.5 * n) / (x + tail)
-    return _INV_SQRT_PI / (x + tail)
+        tail += x
+        np.divide(0.5 * n, tail, out=tail)
+    tail += x
+    return np.divide(_INV_SQRT_PI, tail, out=tail)
 
 
-def _erfcx_nonneg(x):
-    # scaled complement for x >= 0, piecewise over the four ranges
-    out = np.empty_like(x)
-    small = x <= _SMALL_MAX
-    mid = (x > _SMALL_MAX) & (x <= _MID_MAX)
-    far = (x > _MID_MAX) & (x <= _RATIONAL_MAX)
-    cf = x > _RATIONAL_MAX
-    if small.any():
-        xs = x[small]
-        out[small] = np.exp(xs * xs) * (1.0 - _erf_small(xs))
-    if mid.any():
-        out[mid] = _erfcx_mid(x[mid])
-    if far.any():
-        out[far] = _erfcx_far(x[far])
-    if cf.any():
-        out[cf] = _erfcx_cf(x[cf])
-    return out
+_SCALED = ((_MID_MAX, _erfcx_mid), (_RATIONAL_MAX, _erfcx_far), (np.inf, _erfcx_cf))
 
 
-def _erfc_nonneg(x):
-    # erfc for x >= 0
-    out = np.empty_like(x)
-    small = x <= _SMALL_MAX
-    if small.any():
-        out[small] = 1.0 - _erf_small(x[small])
-    rest = ~small
-    if rest.any():
-        xr = x[rest]
-        out[rest] = _exp_neg_sq(xr) * _erfcx_nonneg(xr)
-    return out
+def _by_range(x, name, small, scaled, reflect):
+    """One of the family at x, from its values at |x| and one reflection.
+
+    small(a) gives the value on a <= 0.46875, scaled(a, r) beyond it from
+    r = erfcx(a); reflect(x, v) maps the value v at |x| to the one at x
+    where x carries a minus sign.
+    """
+    arr = _as_array(x, name)
+    flat = arr.ravel()
+    a = np.abs(flat)
+    out = np.empty_like(a)
+    below = a <= _SMALL_MAX
+    at = below.nonzero()[0]
+    if at.size:
+        out[at] = small(a[at])
+    for edge, erfcx_range in _SCALED:
+        upto = a <= edge
+        at = (upto > below).nonzero()[0]
+        if at.size:
+            part = a[at]
+            out[at] = scaled(part, erfcx_range(part))
+        below = upto
+    at = np.signbit(flat).nonzero()[0]     # the sign bit, so erf(-0.0) stays -0.0
+    if at.size:
+        out[at] = reflect(flat[at], out[at])
+    return _result(out, arr.shape)
+
+
+def _erfc_small(a):
+    return 1.0 - _erf_small(a)
+
+
+def _erfc_scaled(a, r):
+    r *= _exp_neg_sq(a)
+    return r
+
+
+_ERFC = (_erfc_small, _erfc_scaled, lambda x, v: 2.0 - v)   # erfc's pieces for _by_range
 
 
 def erf(x):
     """Gauss error function, odd in x, saturating to +-1 at infinity."""
-    arr = _as_array(x, "erf")
-    out = np.empty_like(arr)
-    inf = np.isinf(arr)
-    out[inf] = np.sign(arr[inf])
-    fin = ~inf
-    a = arr[fin]
-    sub = np.empty_like(a)
-    small = np.abs(a) <= _SMALL_MAX
-    sub[small] = _erf_small(a[small])
-    big = ~small
-    sub[big] = np.sign(a[big]) * (1.0 - _erfc_nonneg(np.abs(a[big])))
-    out[fin] = sub
-    return _result(out)
+    return _by_range(x, "erf", _erf_small, lambda a, r: 1.0 - _erfc_scaled(a, r),
+                     lambda x, v: -v)
 
 
 def erfc(x):
     """Complementary error function 1 - erf(x), cancellation-free for x > 0."""
-    arr = _as_array(x, "erfc")
-    out = np.empty_like(arr)
-    inf = np.isinf(arr)
-    if inf.any():
-        out[inf] = np.where(arr[inf] > 0, 0.0, 2.0)
-    fin = ~inf
-    a = arr[fin]
-    sub = np.empty_like(a)
-    neg = a < 0
-    # skipping an empty branch saves most of the cost of a one-element call
-    if neg.any():
-        sub[neg] = 2.0 - _erfc_nonneg(-a[neg])
-    pos = ~neg
-    if pos.any():
-        sub[pos] = _erfc_nonneg(a[pos])
-    out[fin] = sub
-    return _result(out)
+    return _by_range(x, "erfc", *_ERFC)
+
+
+def _erfcx_reflect(x, v):
+    with np.errstate(over="ignore"):
+        return 2.0 * np.exp(x * x) - v
 
 
 def erfcx(x):
@@ -183,26 +204,10 @@ def erfcx(x):
     2 exp(x^2) for large negative x (overflowing to inf past x ~ -26.6,
     which is the correct saturation).
     """
-    arr = _as_array(x, "erfcx")
-    out = np.empty_like(arr)
-    inf = np.isinf(arr)
-    if inf.any():
-        out[inf] = np.where(arr[inf] > 0, 0.0, np.inf)
-    fin = ~inf
-    a = arr[fin]
-    sub = np.empty_like(a)
-    neg = a < 0
-    if neg.any():
-        an = a[neg]
-        with np.errstate(over="ignore"):
-            sub[neg] = 2.0 * np.exp(an * an) - _erfcx_nonneg(-an)
-    pos = ~neg
-    if pos.any():
-        sub[pos] = _erfcx_nonneg(a[pos])
-    out[fin] = sub
-    return _result(out)
+    return _by_range(x, "erfcx", lambda a: np.exp(a * a) * _erfc_small(a),
+                     lambda a, r: r, _erfcx_reflect)
 
 
 def normal_cdf(v):
     """Standard normal CDF N(v) = erfc(-v/sqrt(2)) / 2."""
-    return 0.5 * erfc(-_as_array(v, "normal_cdf") / SQRT_TWO)
+    return 0.5 * _by_range(np.asarray(v, dtype=float) / -SQRT_TWO, "normal_cdf", *_ERFC)

@@ -28,9 +28,10 @@ from putpricer.transforms import (
     reduce_quanto,
 )
 
-# sha256 of `putpricer figure N --out ...` under the default configuration;
-# the same values pin the paper-seed outputs of the benchmark
-FIGURE_SHA256 = {
+# sha256 of `putpricer figure N --out ...` under the default configuration,
+# with numpy's AVX-512 exp; the same values pin the paper-seed outputs of the
+# benchmark
+FIGURE_SHA256_AVX512 = {
     1: "3888f9f5d5de54a709975f139c3ba3f0693a7f132a510b290af5e29fe4a8bb98",
     2: "664b15d4cd10a8b1fecac5aeb00895fc0b5c6bd4ac64afdbd1d7cc4ab5ee159f",
     3: "7f40eaecb6672ab9e5bc467a72bed61e22a3330ce33e722e5e2cbdf4fddc8b55",
@@ -38,6 +39,26 @@ FIGURE_SHA256 = {
     5: "853b4d359bc85b0569b3b70428e9f4f25bdf4885bf4b239be81386f862fb8d97",
     6: "e316edce2e5dcb2bf3aaea2e2068d88d2e7205370fd8c1a2f9c4d43d64a3acda",
 }
+# the same figures where numpy's exp rounds like the C library's: hosts
+# without AVX-512, or NPY_DISABLE_CPU_FEATURES=X86_V4 (figures 1 and 5 agree)
+FIGURE_SHA256_LIBM_EXP = {
+    **FIGURE_SHA256_AVX512,
+    2: "6ae1abbb1d8220be1f3c4e09fa4502273206bed6eae4ad295d833d3036a307bc",
+    3: "96b9df3f8eb1a658bce42f2c3c193cb5dd2fe81d810d075170140b9b946c6e82",
+    4: "f4aa249f32585c8019b38c50cdd126860a8565f9100ea6ced91339bb5cc18c3a",
+    6: "82c03461951befaa5f5bd4dd23ff22267ee0c8a456aff05409faae9296552b72",
+}
+
+
+def exp_rounds_like_libm():
+    """Whether np.exp equals math.exp on a fixed probe (numpy's AVX-512 exp
+    differs on a few percent of it); a CPU flag would not tell, since the
+    flag stays set when the dispatch is disabled."""
+    probe = np.linspace(-30.0, 30.0, 2001)
+    return all(math.exp(x) == e for x, e in zip(probe.tolist(), np.exp(probe).tolist()))
+
+
+FIGURE_SHA256 = FIGURE_SHA256_LIBM_EXP if exp_rounds_like_libm() else FIGURE_SHA256_AVX512
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURE_SHA256))
@@ -354,6 +375,23 @@ def test_shared_kernels_cover_every_order_and_both_tails():
                              _old_reduced_sum(y, tau, params, order))
         assert_same_bits(reduced_exact_u(y, tau[1:], params),
                          _old_reduced_exact_u(y, tau[1:], params))
+
+
+def test_kernels_on_transposed_coordinates_equal_the_transposed_result():
+    # the side and branch splits index y flattened; a transposed (non-contiguous)
+    # y, with tau and (k1, k2) transposed alike, must give the transposed values
+    rng = np.random.default_rng(21)
+    y = rng.uniform(-3.0, 3.0, (7, 9))
+    tau = rng.uniform(0.01, 0.5, (7, 1))
+    k1, k2 = rng.uniform(-2.0, 4.0, (2, 7, 1))
+    for params, params_t in ((GeneralizedReducedParams(0.7, 1.3),) * 2,
+                             (GeneralizedReducedParams(k1, k2),
+                              GeneralizedReducedParams(k1.T, k2.T))):
+        assert_same_bits(reduced_exact_u(y.T, tau.T, params_t),
+                         reduced_exact_u(y, tau, params).T)
+        for t in (0.2, tau, np.where(tau < 0.1, 0.0, tau)):
+            assert_same_bits(hpm_reduced_sum(y.T, np.transpose(t), params_t),
+                             hpm_reduced_sum(y, t, params).T)
 
 
 def _counting(monkeypatch, module, names):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from putpricer import special_functions as sf
 from putpricer.special_functions import erf, erfc, erfcx, normal_cdf
 
 # ---------------------------------------------------------------------------
@@ -255,3 +256,165 @@ def test_erf_bounded_and_odd(x):
     y = erf(x)
     assert -1.0 <= y <= 1.0
     assert erf(-x) == -y
+
+
+# ---------------------------------------------------------------------------
+# the one-range-split kernels == the masked kernels they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _masked_exp_neg_sq(x):
+    x = np.minimum(x, 28.0)
+    ysq = np.trunc(16.0 * x) / 16.0
+    delta = (x - ysq) * (x + ysq)
+    return np.exp(-ysq * ysq) * np.exp(-delta)
+
+
+def _masked_rational(x, num_coefs, num_lead, den_coefs, last_num, last_den):
+    num = num_lead * x
+    den = x
+    for a, b in zip(num_coefs, den_coefs):
+        num = (num + a) * x
+        den = (den + b) * x
+    return num + last_num, den + last_den
+
+
+def _masked_erf_small(x):
+    num, den = _masked_rational(x * x, sf._A[:3], sf._A[4], sf._B[:3], sf._A[3], sf._B[3])
+    return x * num / den
+
+
+def _masked_erfcx_nonneg(x):
+    # the four ranges of x >= 0, each found by its own boolean mask
+    out = np.empty_like(x)
+    small = x <= 0.46875
+    mid = (x > 0.46875) & (x <= 4.0)
+    far = (x > 4.0) & (x <= 6.0)
+    cf = x > 6.0
+    if small.any():
+        xs = x[small]
+        out[small] = np.exp(xs * xs) * (1.0 - _masked_erf_small(xs))
+    if mid.any():
+        num, den = _masked_rational(x[mid], sf._C[:7], sf._C[8], sf._D[:7], sf._C[7], sf._D[7])
+        out[mid] = num / den
+    if far.any():
+        xf = x[far]
+        y = 1.0 / (xf * xf)
+        num, den = _masked_rational(y, sf._P[:4], sf._P[5], sf._Q[:4], sf._P[4], sf._Q[4])
+        out[far] = (1.0 / math.sqrt(math.pi) - y * num / den) / xf
+    if cf.any():
+        xc = x[cf]
+        tail = np.zeros_like(xc)
+        for n in range(40, 0, -1):
+            tail = (0.5 * n) / (xc + tail)
+        out[cf] = (1.0 / math.sqrt(math.pi)) / (xc + tail)
+    return out
+
+
+def _masked_erfc_nonneg(x):
+    out = np.empty_like(x)
+    small = x <= 0.46875
+    if small.any():
+        out[small] = 1.0 - _masked_erf_small(x[small])
+    rest = ~small
+    if rest.any():
+        xr = x[rest]
+        out[rest] = _masked_exp_neg_sq(xr) * _masked_erfcx_nonneg(xr)
+    return out
+
+
+def _masked_finite(x, fill_inf, body):
+    # infinities first, then the finite elements through `body`
+    arr = np.asarray(x, dtype=float)
+    out = np.empty_like(arr)
+    inf = np.isinf(arr)
+    out[inf] = fill_inf(arr[inf])
+    out[~inf] = body(arr[~inf])
+    return out if out.ndim else float(out)
+
+
+def _masked_erf(x):
+    def body(a):
+        sub = np.empty_like(a)
+        small = np.abs(a) <= 0.46875
+        sub[small] = _masked_erf_small(a[small])
+        big = ~small
+        sub[big] = np.sign(a[big]) * (1.0 - _masked_erfc_nonneg(np.abs(a[big])))
+        return sub
+    return _masked_finite(x, np.sign, body)
+
+
+def _masked_by_sign(negative, positive):
+    def body(a):
+        sub = np.empty_like(a)
+        neg = a < 0
+        sub[neg] = negative(a[neg])
+        sub[~neg] = positive(a[~neg])
+        return sub
+    return body
+
+
+def _masked_erfc(x):
+    return _masked_finite(x, lambda v: np.where(v > 0, 0.0, 2.0), _masked_by_sign(
+        lambda a: 2.0 - _masked_erfc_nonneg(-a), _masked_erfc_nonneg))
+
+
+def _masked_erfcx(x):
+    def negative(a):
+        with np.errstate(over="ignore"):
+            return 2.0 * np.exp(a * a) - _masked_erfcx_nonneg(-a)
+    return _masked_finite(x, lambda v: np.where(v > 0, 0.0, np.inf), _masked_by_sign(
+        negative, _masked_erfcx_nonneg))
+
+
+def _masked_normal_cdf(v):
+    return 0.5 * _masked_erfc(-np.asarray(v, dtype=float) / math.sqrt(2.0))
+
+
+MASKED = {erf: _masked_erf, erfc: _masked_erfc, erfcx: _masked_erfcx,
+          normal_cdf: _masked_normal_cdf}
+
+
+def _kernel_arguments():
+    edges = []
+    for edge in (0.46875, 4.0, 6.0):
+        edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    special = [0.0, np.inf, 5e-324, 1e-310, np.finfo(float).tiny, 1e300, 26.6, 27.0]
+    magnitudes = np.array(edges + special)
+    draws = np.random.default_rng(12).uniform(-30.0, 30.0, 20_000)
+    return np.concatenate([magnitudes, -magnitudes, draws])
+
+
+KERNEL_ARGUMENTS = _kernel_arguments()
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn", list(MASKED), ids=lambda fn: fn.__name__)
+def test_range_split_matches_masked_kernels(fn):
+    # range edges with their neighbours, +-0, +-inf, subnormals, +-1e300,
+    # erfcx's overflow edge +-26.6 / +-27, and uniform draws; then each of
+    # the fixed arguments as a Python float
+    assert_same_bits(fn(KERNEL_ARGUMENTS), MASKED[fn](KERNEL_ARGUMENTS))
+    for x in KERNEL_ARGUMENTS[:-20_000]:
+        assert_same_bits(fn(float(x)), MASKED[fn](float(x)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn", list(MASKED), ids=lambda fn: fn.__name__)
+def test_range_split_matches_masked_kernels_on_every_shape(fn):
+    grid = KERNEL_ARGUMENTS[:60].reshape(6, 10)
+    shapes = {
+        "0-d": np.array(-4.0), "one": np.array([6.0]), "empty": np.array([]),
+        "empty-2d": np.empty((0, 3)), "2-d": grid, "strided": KERNEL_ARGUMENTS[:41:2],
+        "transposed": grid.T, "broadcast": np.broadcast_to(grid[1], (4, 10)),
+        "column-broadcast": np.broadcast_to(grid[:, :1], (6, 5)),
+    }
+    for name, x in shapes.items():
+        assert_same_bits(fn(x), MASKED[fn](x))
