@@ -193,46 +193,43 @@ def figure_surface(figure_id, config):
 # grid sweeps
 # ---------------------------------------------------------------------------
 
-_BASKET_AXIS_FIELDS = {"spot1": 0, "spot2": 1}
+_BASKET_SPOT_AXES = {"spot1": 0, "spot2": 1}
 
 
-def _sweep_overrides(config, axis_name, value):
-    if config.contract == "basket" and axis_name in _BASKET_AXIS_FIELDS:
-        spots = list(config.basket["spots"])
-        spots[_BASKET_AXIS_FIELDS[axis_name]] = value
-        return {"spots": spots}
+def _sweep_overrides(config, axes):
+    """Spec overrides that sweep axis 1 as `(n1, 1)` against axis 2 as `(n2,)`."""
+    names = [name for name, _ in axes]
+    if len(set(names)) < len(names):
+        raise ValueError(f"both axes sweep {names[0]!r}; choose two different parameters")
     section = config.contract_summary()
-    if axis_name not in section or isinstance(section[axis_name], list):
-        raise ValueError(
-            f"axis {axis_name!r} is not a scalar parameter of {config.contract}"
-        )
-    return {axis_name: value}
+    shape = tuple(len(values) for _, values in axes)
+    n_spots = len(section.get("spots", ()))  # basket assets; 0 for the other contracts
+    overrides = {}
+    for dim, (name, values) in enumerate(axes):
+        values = np.reshape(values, (-1,) + (1,) * (len(axes) - 1 - dim))
+        column = _BASKET_SPOT_AXES.get(name, n_spots)
+        if column < n_spots:
+            # spot1/spot2 write their columns of one (n1[, n2], n) spots array
+            spots = overrides.setdefault(
+                "spots", np.full(shape + (n_spots,), section["spots"], dtype=float))
+            spots[..., column] = values
+        elif name in section and not isinstance(section[name], list):
+            overrides[name] = values
+        else:
+            raise ValueError(f"axis {name!r} is not a scalar parameter of {config.contract}")
+    return overrides
 
 
 def grid_surface(config, axis1, axis2=None):
-    """Sweep the configured method over one or two scalar parameters, point by point."""
-    name1, values1 = axis1
-    pricer = _PRICERS[config.contract]
-    if axis2 is None:
-        rows = [pricer(config, **_sweep_overrides(config, name1, float(v))) for v in values1]
-        price, exact = (np.array(col) for col in zip(*rows))
-        values = (price,) if config.method == "exact" else (price, exact, price - exact)
-        names = ("price",) if config.method == "exact" else ("price", "exact", "error")
-        return PriceSurface(
-            axis_names=(name1,), axes=(values1,), value_names=names, values=values,
-            metadata=_metadata(config, extra={"method": config.method}),
-        )
-
-    name2, values2 = axis2
-    prices = np.empty((len(values1), len(values2)))
-    for i, v1 in enumerate(values1):
-        over1 = _sweep_overrides(config, name1, float(v1))
-        for j, v2 in enumerate(values2):
-            over = {**over1, **_sweep_overrides(config, name2, float(v2))}
-            prices[i, j], _ = pricer(config, **over)
+    """Sweep the configured method over one or two scalar parameters in one array call."""
+    axes = (axis1,) if axis2 is None else (axis1, axis2)
+    price, exact = _PRICERS[config.contract](config, **_sweep_overrides(config, axes))
+    names, values = ("price",), (price,)
+    if axis2 is None and config.method != "exact":
+        names, values = ("price", "exact", "error"), (price, exact, price - exact)
     return PriceSurface(
-        axis_names=(name1, name2), axes=(values1, values2),
-        value_names=("price",), values=(prices,),
+        axis_names=tuple(name for name, _ in axes), axes=tuple(v for _, v in axes),
+        value_names=names, values=values,
         metadata=_metadata(config, extra={"method": config.method}),
     )
 
@@ -275,17 +272,17 @@ def cmd_figure(args):
 
 def cmd_grid(args):
     config = _load_config(args, args.contract)
-    if args.points < 2 or args.stop <= args.start:
-        raise ValueError("grid axis needs at least 2 points and stop > start")
-    axis1 = (args.axis, np.linspace(args.start, args.stop, args.points))
-    axis2 = None
-    if args.axis2 is not None:
-        if None in (args.start2, args.stop2, args.points2):
+    axes = []
+    for name, start, stop, points in ((args.axis, args.start, args.stop, args.points),
+                                      (args.axis2, args.start2, args.stop2, args.points2)):
+        if name is None:
+            continue
+        if None in (start, stop, points):
             raise ValueError("--axis2 requires --start2, --stop2 and --points2")
-        if args.points2 < 2 or args.stop2 <= args.start2:
-            raise ValueError("second axis needs at least 2 points and stop > start")
-        axis2 = (args.axis2, np.linspace(args.start2, args.stop2, args.points2))
-    surface = grid_surface(config, axis1, axis2)
+        if points < 2 or stop <= start:
+            raise ValueError(f"grid axis {name!r} needs at least 2 points and stop > start")
+        axes.append((name, np.linspace(start, stop, points)))
+    surface = grid_surface(config, *axes)
     surface.write_csv(args.out)
     print(f"grid sweep: wrote {surface.n_rows} data rows to {args.out}")
     return 0

@@ -130,6 +130,9 @@ class PriceSurface:
             raise ValueError("surface needs one or two named axes")
         if len(self.value_names) != len(self.values) or not self.values:
             raise ValueError("surface needs at least one named value array")
+        for name in (*self.axis_names, *self.value_names):
+            if set(name) & set(",\n\r"):
+                raise ValueError(f"column name {name!r} contains a comma or a line break")
         for key, value in self.metadata.items():
             line = f"{key}: {value}"
             if "\n" in line or "\r" in line:

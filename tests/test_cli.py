@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -11,9 +12,11 @@ from putpricer.config import (
     DEFAULT_BASKET,
     DEFAULT_QUANTO,
     DEFAULT_SINGLE,
+    METHODS_BY_CONTRACT,
     SCHEMA,
     ExperimentConfig,
 )
+from putpricer.exact_pricing import basket_put_exact
 from putpricer.surface import PriceSurface
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -398,6 +401,10 @@ def test_grid_two_axes_basket(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["spot1", "spot2", "price"]
     assert rows.shape == (12, 3)
+    # each row prices the basket at both of its spots
+    spec = ExperimentConfig().basket_spec()
+    exact = [basket_put_exact(spec, row[:2]) for row in rows]
+    assert np.allclose(rows[:, 2], exact, rtol=1e-11, atol=0.0)
 
 
 def test_grid_rejects_vector_axis(tmp_path, capsys):
@@ -405,6 +412,97 @@ def test_grid_rejects_vector_axis(tmp_path, capsys):
     assert main(["grid", "basket", "--axis", "weights", "--start", "0",
                  "--stop", "1", "--points", "3", "--out", str(out)]) == 2
     assert "not a scalar parameter" in capsys.readouterr().err
+
+
+ONE_ASSET = ["--spots", "40", "--weights", "1", "--dividends", "0", "--covariance", "0.04"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["single", "--axis", "spot", "--start", "20", "--stop", "60", "--points", "3",
+      "--axis2", "spot", "--start2", "20", "--stop2", "60", "--points2", "3"],
+     "both axes sweep 'spot'"),
+    (["quanto", "--axis", "sigma2", "--start", "0", "--stop", "0.2", "--points", "3"],
+     "degenerate quanto volatility"),
+    (["single", "--axis", "valuation_time", "--start", "0", "--stop", "1", "--points", "3"],
+     "exceeds maturity"),
+    (["basket", "--axis", "spot2", "--start", "20", "--stop", "60", "--points", "3",
+      *ONE_ASSET], "not a scalar parameter"),
+    (["single", "--axis", "spot", "--start", "20", "--stop", "60", "--points", "3",
+      "--axis2", "vol", "--start2", "0.1", "--stop2", "0.5"], "--axis2 requires"),
+    (["single", "--axis", "spot", "--start", "20", "--stop", "60", "--points", "1"],
+     "at least 2 points"),
+    (["single", "--axis", "spot", "--start", "20", "--stop", "60", "--points", "3",
+      "--axis2", "vol", "--start2", "0.5", "--stop2", "0.1", "--points2", "3"],
+     "grid axis 'vol' needs"),
+])
+def test_grid_invalid_sweep_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "grid.csv"
+    assert main(["grid", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a range per scalar axis; the quanto vols stay apart so that no pair is degenerate
+GRID_AXES = {
+    "single": {"spot": (20, 60), "strike": (20, 60), "rate": (0.01, 0.1), "vol": (0.1, 0.5),
+               "maturity": (0.5, 1.0), "valuation_time": (0.0, 0.5)},
+    "basket": {"spot1": (20, 60), "spot2": (20, 60), "rate": (0.01, 0.1), "strike": (20, 60),
+               "maturity": (0.5, 1.0), "valuation_time": (0.0, 0.5)},
+    "quanto": {"s1": (20, 60), "s2": (20, 60), "sigma1": (0.05, 0.25), "sigma2": (0.0, 0.04),
+               "rho": (-1.0, 1.0), "r1": (0.0, 0.1), "r2": (0.0, 0.1), "q": (0.0, 0.05),
+               "strike": (20, 60), "maturity": (0.5, 1.0), "valuation_time": (0.0, 0.5)},
+}
+THREE_ASSETS = {"basket.spots": [40.0, 35.0, 45.0], "basket.weights": [0.2, 0.3, 0.5],
+                "basket.dividends": [0.01, 0.0, 0.02],
+                "basket.covariance": [[0.04, 0.01, 0.0], [0.01, 0.09, 0.02],
+                                      [0.0, 0.02, 0.0625]]}
+
+
+def per_point_surface(config, axes):
+    """The grid priced one spec and one pricer call per point."""
+    shape = tuple(len(values) for _, values in axes)
+    price, exact = np.empty(shape), np.empty(shape)
+    for index in np.ndindex(*shape):
+        overrides = {}
+        for (name, values), i in zip(axes, index):
+            if config.contract == "basket" and name in ("spot1", "spot2"):
+                spots = overrides.setdefault("spots", list(config.basket["spots"]))
+                spots[int(name[-1]) - 1] = float(values[i])
+            else:
+                overrides[name] = float(values[i])
+        price[index], exact[index] = cli._PRICERS[config.contract](config, **overrides)
+    names, values = ("price",), (price,)
+    if len(axes) == 1 and config.method != "exact":
+        names, values = ("price", "exact", "error"), (price, exact, price - exact)
+    return PriceSurface(
+        axis_names=tuple(name for name, _ in axes), axes=tuple(v for _, v in axes),
+        value_names=names, values=values,
+        metadata=cli._metadata(config, extra={"method": config.method}),
+    )
+
+
+@pytest.mark.parametrize("contract, method, overrides", [
+    *[pytest.param(contract, method, {}, id=f"{contract}-{method}") for contract in GRID_AXES
+      for method in METHODS_BY_CONTRACT[contract]],
+    pytest.param("quanto", "hpm2", {"order": 3}, id="quanto-hpm2-order3"),
+    pytest.param("basket", "hpm2", THREE_ASSETS, id="basket-hpm2-three-assets"),
+])
+def test_grid_csv_equals_per_point_reference(tmp_path, contract, method, overrides):
+    # every scalar axis alone at 5 points, and every pair of axes at 2 x 3, each axis
+    # first in about half of its pairs; byte for byte, under either exp dispatch
+    config = ExperimentConfig.from_sources(
+        None, {"contract": contract, "method": method, **overrides})
+    ranges = GRID_AXES[contract]
+    names = list(ranges)
+    sweeps = [[(name, np.linspace(*ranges[name], 5))] for name in names]
+    for i, j in itertools.combinations(range(len(names)), 2):
+        a, b = (names[i], names[j]) if (i + j) % 2 else (names[j], names[i])
+        sweeps.append([(a, np.linspace(*ranges[a], 2)), (b, np.linspace(*ranges[b], 3))])
+    got, want = tmp_path / "grid.csv", tmp_path / "reference.csv"
+    for axes in sweeps:
+        cli.grid_surface(config, *axes).write_csv(got)
+        per_point_surface(config, axes).write_csv(want)
+        assert got.read_bytes() == want.read_bytes(), [name for name, _ in axes]
 
 
 # ---------------------------------------------------------------------------

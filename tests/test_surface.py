@@ -147,6 +147,15 @@ def test_metadata_line_breaks_are_refused(metadata):
                      values=([2.0],), metadata=metadata)
 
 
+@pytest.mark.parametrize("names", [(("a,b",), ("v",)), (("a",), ("v\nw",)),
+                                   (("a\rb",), ("v",)), (("a",), ("v,",))])
+def test_column_names_that_would_break_the_header_are_refused(names):
+    axis_names, value_names = names
+    with pytest.raises(ValueError, match="comma or a line break"):
+        PriceSurface(axis_names=axis_names, axes=([1.0],), value_names=value_names,
+                     values=([2.0],))
+
+
 def test_non_finite_axis_is_refused():
     with pytest.raises(ValueError, match="axis 'a' contains non-finite"):
         PriceSurface(axis_names=("a",), axes=([1.0, np.inf],), value_names=("v",),
