@@ -163,57 +163,44 @@ def check_recursion_residuals(profile="default"):
 # ---------------------------------------------------------------------------
 
 
-def _cn_gap_single(spec, grid):
-    rc = to_dimensionless(spec)
-    params = GeneralizedReducedParams(rc.k, rc.k)
-    sol = cn_solve(params, rc.tau, grid)
-    return abs(sol.value_at_zero() - bs_put(spec) / spec.strike)
-
-
 def check_cn_cross_validation(profile="default"):
     # strict shrinks the tolerance 10x, which the second-order scheme buys
     # with a 2.5x finer grid
     bound = _tol(1e-4, profile)
     n = 2000 if profile == "strict" else 800
     grid = GridSpec(ny=n, n_steps=n)
-    results = []
 
-    gap = _cn_gap_single(VanillaOptionSpec(spot=40.0, **SECTION5), grid)
-    results.append(CheckResult("cn-vs-exact-single", gap, f"<= {bound:.1e}",
-                               gap <= bound))
-
+    # eight contracts, one solve: the Section-5 put, five random ones, the
+    # figure-5 quanto and the figure-3 basket, as (k1, k2, tau, exact u at y = 0)
     rng = np.random.default_rng(31)
-    worst = 0.0
+    singles = [VanillaOptionSpec(spot=40.0, **SECTION5)]
     for _ in range(5):
         strike = float(rng.uniform(20, 80))
-        spec = VanillaOptionSpec(
+        singles.append(VanillaOptionSpec(
             spot=strike, strike=strike,
             rate=float(rng.uniform(0.01, 0.1)),
             vol=float(rng.uniform(0.15, 0.5)),
             maturity=float(rng.uniform(0.25, 1.5)),
-        )
-        worst = max(worst, _cn_gap_single(spec, grid))
-    results.append(CheckResult("cn-vs-exact-random", worst, f"<= {bound:.1e}",
-                               worst <= bound))
-
+        ))
+    contracts = []
+    for spec in singles:
+        rc = to_dimensionless(spec)
+        contracts.append((rc.k, rc.k, rc.tau, bs_put(spec) / spec.strike))
     qspec = _fig5_quanto()
     red = reduce_quanto(qspec)
-    tau = 0.5 * red.sigma_hat_sq * qspec.time_remaining
-    # keep only the value, not the solution: two live n x n grids double the peak memory
-    cn = cn_solve(GeneralizedReducedParams(red.k1, red.k2), tau, grid).value_at_zero()
-    gap = abs(cn - quanto_put_exact(qspec) / (qspec.strike * qspec.s2))
-    results.append(CheckResult("cn-vs-exact-quanto", gap, f"<= {bound:.1e}",
-                               gap <= bound))
-
+    contracts.append((red.k1, red.k2, 0.5 * red.sigma_hat_sq * qspec.time_remaining,
+                      quanto_put_exact(qspec) / (qspec.strike * qspec.s2)))
     bspec = _fig3_basket()
     bred = reduce_basket(bspec)
     bparams = basket_reduced_params(bred, bspec.rate)
-    tau = 0.5 * bred.sigma_hat**2 * bspec.time_remaining
-    cn = cn_solve(bparams, tau, grid).value_at_zero()
-    gap = abs(cn - basket_put_exact(bspec) / bspec.strike)
-    results.append(CheckResult("cn-vs-exact-basket", gap, f"<= {bound:.1e}",
-                               gap <= bound))
-    return results
+    contracts.append((bparams.k1, bparams.k2, 0.5 * bred.sigma_hat**2 * bspec.time_remaining,
+                      basket_put_exact(bspec) / bspec.strike))
+
+    k1, k2, tau, exact = np.array(contracts).T
+    gaps = np.abs(cn_solve(GeneralizedReducedParams(k1, k2), tau, grid).value_at_zero() - exact)
+    return [CheckResult(f"cn-vs-exact-{name}", gap, f"<= {bound:.1e}", gap <= bound)
+            for name, gap in (("single", float(gaps[0])), ("random", float(gaps[1:6].max())),
+                              ("quanto", float(gaps[6])), ("basket", float(gaps[7])))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -59,6 +60,34 @@ def test_solver_input_validation():
         cn_solve(GeneralizedReducedParams(1.0, 1.0), math.inf, GridSpec())
     with pytest.raises(ValueError, match="boundary"):
         cn_solve(FIG1_PARAMS, 0.1, GridSpec(), boundary="nope")
+
+
+@pytest.mark.parametrize("tau_final", [np.array([0.1, 0.0]), np.array([0.1, -0.2]),
+                                       np.array([0.1, math.nan]), np.array([[0.1], [math.inf]])],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_solver_refuses_bad_tau_element(tau_final):
+    with pytest.raises(ValueError, match="tau_final must be positive and finite"):
+        cn_solve(FIG1_PARAMS, tau_final, GridSpec(ny=16, n_steps=2))
+
+
+@pytest.mark.parametrize("k1, k2", [(np.array([1.0, math.nan]), 1.0),
+                                    (1.0, np.array([[math.inf], [1.0]]))], ids=["k1", "k2"])
+def test_solver_refuses_non_finite_parameter_element(k1, k2):
+    # a duck-typed pair, so the solver's own check is reached; the dataclass
+    # refuses the same values at construction
+    with pytest.raises(ValueError, match="non-finite reduced parameters"):
+        cn_solve(types.SimpleNamespace(k1=k1, k2=k2), 0.1, GridSpec(ny=16, n_steps=2))
+    with pytest.raises(ValueError, match="must be finite"):
+        GeneralizedReducedParams(k1, k2)
+
+
+def test_solver_refuses_shapes_that_do_not_broadcast():
+    params = GeneralizedReducedParams(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="must broadcast together"):
+        cn_solve(params, 0.1, GridSpec(ny=16, n_steps=2))
+    with pytest.raises(ValueError, match="must broadcast together"):
+        cn_solve(GeneralizedReducedParams(np.ones(2), 1.0), np.full(3, 0.1),
+                 GridSpec(ny=16, n_steps=2))
 
 
 def test_zero_is_cell_centered():
@@ -156,38 +185,42 @@ def _cn_matrix(lower, diag, upper, n):
 
 @pytest.mark.parametrize("ny", [16, 17, 97, 801, 2000])
 def test_cn_step_matches_dense_step(ny):
-    # CN steps of the reduced equation on [-4, 4]: a fixed draw that is not
-    # diagonally dominant on the coarse grids (|k1 - 1| h > 2), then random ones
+    # CN steps of the reduced equation on [-4, 4], all draws in one batched
+    # stepper: a fixed draw that is not diagonally dominant on the coarse
+    # grids (|k1 - 1| h > 2), then random ones; each row against its own
+    # dense solve
     rng = np.random.default_rng(ny)
     h = 8.0 / (ny + 1)
     draws = [(100.0, -5.0, 0.1)] + [
         (rng.uniform(-100.0, 100.0), rng.uniform(-5.0, 100.0), 10.0 ** rng.uniform(-6.0, -1.0))
         for _ in range(6)
     ]
-    for k1, k2, dtau in draws:
-        a = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)
-        b = -2.0 / (h * h) - k2
-        c = 1.0 / (h * h) + (k1 - 1.0) / (2.0 * h)
-        u, step = _cn_stepper(a, b, c, dtau, ny)
-        u[:] = rng.normal(size=ny + 2)
+    k1, k2, dtau = np.array(draws).T
+    a = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)
+    b = -2.0 / (h * h) - k2
+    c = 1.0 / (h * h) + (k1 - 1.0) / (2.0 * h)
+    u, step = _cn_stepper(a, b, c, dtau, ny)
+    assert u.shape == (len(draws), ny + 2)
+    u[:] = rng.normal(size=u.shape)
+    before = u.copy()
+    step()
+    for row, start, ai, bi, ci, dt in zip(u, before, a, b, c, dtau):
         # one dense step: the explicit half over every node, edges included
-        explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, ny + 2)[1:-1]
-        implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, ny)
-        expected = np.linalg.solve(implicit, explicit @ u)
-        edges = u[[0, -1]]
-        step()
-        assert np.abs(u[1:-1] - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert np.array_equal(u[[0, -1]], edges)
+        explicit = _cn_matrix(0.5 * dt * ai, 1.0 + 0.5 * dt * bi, 0.5 * dt * ci, ny + 2)[1:-1]
+        implicit = _cn_matrix(-0.5 * dt * ai, 1.0 - 0.5 * dt * bi, -0.5 * dt * ci, ny)
+        expected = np.linalg.solve(implicit, explicit @ start)
+        assert np.abs(row[1:-1] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(row[[0, -1]], start[[0, -1]])
 
 
 def test_cn_run_matches_dense_stepping():
-    # the whole time loop against a reference that steps with a dense solve;
-    # data of order one at both edges, so an error in any row shows.  The
-    # second left edge falls below every interior value, so the least value
-    # over the run sits on an edge
-    params = GeneralizedReducedParams(3.0, 4.0)
+    # the whole time loop, two contracts in one call, against a reference that
+    # steps each with a dense solve; data of order one at both edges, so an
+    # error in any row shows.  The second left edge falls below every
+    # interior value, so the least value over the run sits on an edge
+    params = GeneralizedReducedParams(np.array([3.0, 0.5]), np.array([4.0, 1.5]))
     grid = GridSpec(ny=64, n_steps=32)
-    tau_final = 0.2
+    tau_final = np.array([0.2, 0.1])
 
     def initial(y):
         return 1.0 + 0.5 * np.sin(y)
@@ -197,29 +230,51 @@ def test_cn_run_matches_dense_stepping():
 
     for left in (lambda tau: 0.6 + tau, lambda tau: 0.6 - 3.0 * tau):
         sol = cn_solve(params, tau_final, grid, initial=initial, boundary=(left, right))
+        assert sol.final.shape == (2, grid.ny + 2) and sol.min_value.shape == (2,)
 
         y = sol.y
         h = y[1] - y[0]
-        dtau = tau_final / grid.n_steps
-        a = 1.0 / (h * h) - (params.k1 - 1.0) / (2.0 * h)
-        b = -2.0 / (h * h) - params.k2
-        c = 1.0 / (h * h) + (params.k1 - 1.0) / (2.0 * h)
-        implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, grid.ny)
-        explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, grid.ny)
+        for final, min_value, k1, k2, tau in zip(sol.final, sol.min_value, params.k1,
+                                                 params.k2, tau_final):
+            dtau = tau / grid.n_steps
+            a = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)
+            b = -2.0 / (h * h) - k2
+            c = 1.0 / (h * h) + (k1 - 1.0) / (2.0 * h)
+            implicit = _cn_matrix(-0.5 * dtau * a, 1.0 - 0.5 * dtau * b, -0.5 * dtau * c, grid.ny)
+            explicit = _cn_matrix(0.5 * dtau * a, 1.0 + 0.5 * dtau * b, 0.5 * dtau * c, grid.ny)
 
-        u = initial(y[1:-1])
-        least = min(left(0.0), u.min(), right(0.0))
-        for step in range(1, grid.n_steps + 1):
-            before, after = (step - 1) * dtau, step * dtau
-            rhs = explicit @ u
-            rhs[0] += 0.5 * dtau * a * (left(before) + left(after))
-            rhs[-1] += 0.5 * dtau * c * (right(before) + right(after))
-            u = np.linalg.solve(implicit, rhs)
-            least = min(least, left(after), u.min(), right(after))
-        assert np.abs(sol.final[1:-1] - u).max() <= 1e-13
-        assert (sol.final[0], sol.final[-1]) == (left(tau_final), right(tau_final))
-        # the least value over every level, edge values included
-        assert abs(sol.min_value - least) <= 1e-13
+            u = initial(y[1:-1])
+            least = min(left(0.0), u.min(), right(0.0))
+            for step in range(1, grid.n_steps + 1):
+                before, after = (step - 1) * dtau, step * dtau
+                rhs = explicit @ u
+                rhs[0] += 0.5 * dtau * a * (left(before) + left(after))
+                rhs[-1] += 0.5 * dtau * c * (right(before) + right(after))
+                u = np.linalg.solve(implicit, rhs)
+                least = min(least, left(after), u.min(), right(after))
+            assert np.abs(final[1:-1] - u).max() <= 1e-13
+            assert (final[0], final[-1]) == (left(tau), right(tau))
+            # the least value over every level, edge values included
+            assert abs(min_value - least) <= 1e-13
+
+
+def test_batched_solve_matches_each_contract_alone():
+    # a (2, 3) batch from broadcasting k1 (2, 1) against tau (3,), with k2
+    # shared; each contract solved alone is the reference
+    k1, k2 = np.array([[0.4], [2.5]]), 1.3
+    tau = np.array([0.02, 0.1, 0.3])
+    grid = GridSpec(ny=64, n_steps=48)
+    sol = cn_solve(GeneralizedReducedParams(k1, k2), tau, grid)
+    assert sol.final.shape == (2, 3, grid.ny + 2)
+    values, least = sol.value_at_zero(), sol.min_value
+    assert values.shape == least.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        alone = cn_solve(GeneralizedReducedParams(float(k1[i, 0]), k2), float(tau[j]), grid)
+        assert isinstance(alone.value_at_zero(), float) and isinstance(alone.min_value, float)
+        scale = np.abs(alone.final).max()
+        assert np.abs(sol.final[i, j] - alone.final).max() <= 1e-14 * scale
+        assert abs(values[i, j] - alone.value_at_zero()) <= 1e-14 * abs(alone.value_at_zero())
+        assert abs(least[i, j] - alone.min_value) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
