@@ -6,10 +6,10 @@ A Crank-Nicolson finite-difference solver for
 
 plus central-difference residual probes for the series-term recursion.
 The solver is the verification side of every closed-form formula in this
-library, so it deliberately shares nothing with them beyond the boundary
-values it is asked to use.  Every step applies one map per contract, set up
-once per solve: a product of blocks of nodes and a small Woodbury
-correction, batched over all the contracts of a call.
+library, so it shares no code with them: its boundary values are the payoff's
+deep-tail asymptote, on grids wide enough for it.  Every step applies one map
+per contract, set up once per solve: a product of blocks of nodes and a small
+Woodbury correction, batched over all the contracts of a call.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hpm_series
-from .exact_pricing import reduced_exact_u
-from .special_functions import _result
 from .transforms import GeneralizedReducedParams
 
 log = logging.getLogger(__name__)
+_TAIL_TOLERANCE = 1e-15   # ~5 ulp of the solution's scale; validate's contracts leave 6.8e-20
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,10 @@ class PdeSolution:
         """Final-time value at y = 0, which sits midway between two nodes."""
         j = int(np.searchsorted(self.y, 0.0))
         return _result(0.5 * (self.final[..., j - 1] + self.final[..., j]))
+
+
+def _result(out):   # the pricers' return rule, restated to import none of them
+    return out if out.ndim else float(out)
 
 
 def _payoff(y):
@@ -152,41 +155,46 @@ def _cn_stepper(a, b, c, dtau, n):
     return u[..., :n + 2], step
 
 
-def _boundary_values(boundary, k1, k2, y_lo, y_hi, taus):
-    """Dirichlet data at every time level: a left and a right array shaped like `taus`."""
-    if boundary == "exact":
-        # the closed form needs tau > 0, so tau = 0 takes the payoff and the
-        # later levels of every contract come from one array call per side
-        later = GeneralizedReducedParams(k1[..., None], k2[..., None])
-        return tuple(
-            np.concatenate([np.full_like(taus[..., :1], _payoff(edge)),
-                            reduced_exact_u(edge, taus[..., 1:], later)], axis=-1)
-            for edge in (y_lo, y_hi)
-        )
-    if boundary == "asymptote":
-        left = np.exp(-k2[..., None] * taus) - np.exp(y_lo + (k1 - k2)[..., None] * taus)
-        return left, np.zeros_like(left)
+def _boundary_values(boundary, k1, k2, tau, y, taus):
+    """Dirichlet data at every time level: a left and a right array shaped like `taus`.
+
+    Unless a callable pair is given, the deep-tail asymptote: e^(-k2 tau) - e^(y + (k1 - k2)
+    tau) on the left, 0 on the right.  Relative to e^(-k2 tau), it leaves out a call on the
+    left and the put on the right.  Their bounds below take the drift as |k1 +- 1|, so they
+    grow with tau; a grid on which one exceeds `_TAIL_TOLERANCE` at tau_final is refused.
+    """
     if isinstance(boundary, tuple) and len(boundary) == 2:
-        return tuple(np.array([fn(tau) for tau in taus.ravel().tolist()]).reshape(taus.shape)
+        return tuple(np.array([fn(t) for t in taus.ravel().tolist()]).reshape(taus.shape)
                      for fn in boundary)
-    raise ValueError(
-        "boundary must be 'exact', 'asymptote', or a (left, right) callable pair"
-    )
+    if boundary is not None:
+        raise ValueError(f"boundary must be None or a (left, right) callable pair: {boundary!r}")
+    erfc, root = np.vectorize(math.erfc, otypes=[float]), 2.0 * np.sqrt(tau)
+    with np.errstate(over="ignore"):   # what overflows here is refused below
+        tail = np.maximum(np.exp(y[0] + np.maximum(k1, 0.0) * tau)
+                          * erfc((-y[0] - abs(k1 + 1.0) * tau) / root),
+                          erfc((y[-1] - abs(k1 - 1.0) * tau) / root)).max()
+        peak = np.maximum(-k2 * tau, y[0] + (k1 - k2) * tau).max()   # linear in tau, <= 0 at 0
+    if tail > _TAIL_TOLERANCE:
+        raise ValueError(f"grid too narrow for the asymptote boundary: tail bound {tail:.1e}")
+    if peak >= math.log(np.finfo(float).max):
+        raise ValueError("boundary values overflow: -k2 tau or (k1 - k2) tau is too large")
+    left = np.exp(-k2[..., None] * taus) - np.exp(y[0] + (k1 - k2)[..., None] * taus)
+    return left, np.zeros_like(left)
 
 
 def cn_solve(params: GeneralizedReducedParams, tau_final, grid: GridSpec,
-             initial=None, boundary="exact") -> PdeSolution:
+             initial=None, boundary=None) -> PdeSolution:
     """Crank-Nicolson solve of the reduced equation up to tau_final on the given grid.
 
     `params.k1`, `params.k2` and `tau_final` are floats or broadcastable
     arrays, one contract per element of their broadcast shape; every
     contract shares the grid and its n_steps and is stepped in the same time
-    loop.  `initial` overrides the put payoff (test hook); `boundary` selects
-    the Dirichlet data: exact closed-form values (default, isolates interior
-    discretization error), the deep-tail payoff asymptote (independence
-    mode), or a (left, right) pair of callables of a scalar tau, shared by
-    every contract.  Second order in both h and dtau.  Every step applies
-    each contract's map T^-1 E, set up once per call by `_cn_stepper`.
+    loop.  The Dirichlet data is the payoff's deep-tail asymptote, and a
+    grid too narrow for it raises ValueError (see `_boundary_values`).  Test
+    hooks: `initial` overrides the put payoff, and `boundary`, a (left, right)
+    pair of callables of a scalar tau shared by every contract, the boundary
+    data.  Second order in both h and dtau.  Every step applies each
+    contract's map T^-1 E, set up once per call by `_cn_stepper`.
     """
     try:
         k1, k2, tau = np.broadcast_arrays(
@@ -202,8 +210,7 @@ def cn_solve(params: GeneralizedReducedParams, tau_final, grid: GridSpec,
     dtau = tau / grid.n_steps
     taus = dtau[..., None] * np.arange(grid.n_steps + 1)
     # (left, right) at every level: batch shape + (n_steps + 1, 2)
-    edges = np.stack(_boundary_values(boundary, k1, k2, float(y[0]), float(y[-1]), taus),
-                     axis=-1)
+    edges = np.stack(_boundary_values(boundary, k1, k2, tau, y, taus), axis=-1)
 
     a_coef = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)   # multiplies u_{j-1}
     b_coef = -2.0 / (h * h) - k2                      # multiplies u_j

@@ -4,12 +4,12 @@ Each check pits one implementation path against an independent route:
 finite-difference PDE solves against the closed forms, the series terms
 against the recursion and against deep-tail combinatorics, the special
 functions against series/quadrature.  A route is independent of the
-formula it checks, not of every line of the library: the CN solver takes
-its Dirichlet values from `reduced_exact_u`, and every quanto check (the CN
-solve, the internal-consistency route, the error surface) starts from
-`reduce_quanto`'s parameters, so nothing here checks that reduction against
-the two-asset model itself.  `run_all` powers both the CLI `validate`
-command and the acceptance test module.
+formula it checks, not of every line of the library: every quanto check
+(the CN solve, the internal-consistency route, the error surface) starts
+from `reduce_quanto`'s parameters, so nothing here checks that reduction
+against the two-asset model itself.  The CN solver's boundary values are the
+payoff's deep-tail asymptote, and it refuses a grid too narrow for them.
+`run_all` powers both the CLI `validate` command and the acceptance tests.
 
 The random-contract checks (specialization identity, recursion residuals,
 quanto internal consistency, degenerations) run as array calls: their
@@ -38,12 +38,9 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
-    _libm,
-    _square,
     basket_reduced_params,
     reduce_basket,
     reduce_quanto,
-    to_dimensionless,
     to_dimensionless_arrays,
 )
 
@@ -170,22 +167,16 @@ def check_cn_cross_validation(profile="default"):
     n = 2000 if profile == "strict" else 800
     grid = GridSpec(ny=n, n_steps=n)
 
-    # eight contracts, one solve: the Section-5 put, five random ones, the
-    # figure-5 quanto and the figure-3 basket, as (k1, k2, tau, exact u at y = 0)
-    rng = np.random.default_rng(31)
-    singles = [VanillaOptionSpec(spot=40.0, **SECTION5)]
-    for _ in range(5):
-        strike = float(rng.uniform(20, 80))
-        singles.append(VanillaOptionSpec(
-            spot=strike, strike=strike,
-            rate=float(rng.uniform(0.01, 0.1)),
-            vol=float(rng.uniform(0.15, 0.5)),
-            maturity=float(rng.uniform(0.25, 1.5)),
-        ))
-    contracts = []
-    for spec in singles:
-        rc = to_dimensionless(spec)
-        contracts.append((rc.k, rc.k, rc.tau, bs_put(spec) / spec.strike))
+    # eight contracts, one solve: the Section-5 put, five random at-the-money
+    # ones (a row of draws each), the figure-5 quanto and the figure-3 basket,
+    # as (k1, k2, tau, exact u at y = 0)
+    fields = ("strike", "rate", "vol", "maturity")
+    lo, hi = np.array([(20.0, 0.01, 0.15, 0.25), (80.0, 0.1, 0.5, 1.5)])
+    drawn = _uniform(np.random.default_rng(31).random((5, len(fields))), lo, hi)
+    columns = dict(zip(fields, np.vstack([[SECTION5[f] for f in fields], drawn]).T))
+    singles = VanillaOptionSpec(spot=columns["strike"], **columns)
+    _, tau, k = to_dimensionless_arrays(singles)
+    contracts = [*zip(k, k, tau, bs_put(singles) / singles.strike)]
     qspec = _fig5_quanto()
     red = reduce_quanto(qspec)
     contracts.append((red.k1, red.k2, 0.5 * red.sigma_hat_sq * qspec.time_remaining,
@@ -232,7 +223,7 @@ def check_quanto_internal_consistency(profile="default"):
     red = reduce_quanto(spec)
     price = quanto_put_exact(spec)
     routed = spec.s2 * spec.s2 * (spec.strike / spec.s2) * reduced_exact_u(
-        _libm(math.log, spec.s1 / spec.strike),
+        np.log(spec.s1 / spec.strike),
         0.5 * red.sigma_hat_sq * spec.time_remaining,
         GeneralizedReducedParams(red.k1, red.k2),
     )
@@ -255,7 +246,7 @@ def check_degenerations(profile="default"):
     )
     basket = BasketSpec(
         spots=spec.spot[:, None], weights=np.array([1.0]), dividends=np.zeros(1),
-        covariance=_libm(_square, spec.vol)[:, None, None],
+        covariance=(spec.vol * spec.vol)[:, None, None],
         rate=spec.rate, strike=spec.strike, maturity=spec.maturity,
     )
     reference = bs_put(spec)
@@ -311,8 +302,8 @@ def check_hpm2_accuracy(profile="default"):
 
 
 def check_smoothness_contrast(profile="default"):
-    rc = to_dimensionless(VanillaOptionSpec(spot=40.0, **SECTION5))
-    kink = 40.0 * math.exp(-rc.k * rc.tau)
+    _, tau, k = to_dimensionless_arrays(VanillaOptionSpec(spot=40.0, **SECTION5))
+    kink = 40.0 * math.exp(-k * tau)
     h = 1e-6
 
     def hpm1(s):

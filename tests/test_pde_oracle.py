@@ -1,10 +1,12 @@
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from putpricer import hpm_series
+from putpricer import hpm_series, pde_oracle
 from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
@@ -58,8 +60,34 @@ def test_solver_input_validation():
         cn_solve(FIG1_PARAMS, 0.0, GridSpec())
     with pytest.raises(ValueError, match="tau_final"):
         cn_solve(GeneralizedReducedParams(1.0, 1.0), math.inf, GridSpec())
-    with pytest.raises(ValueError, match="boundary"):
-        cn_solve(FIG1_PARAMS, 0.1, GridSpec(), boundary="nope")
+    for mode in ("exact", "asymptote"):
+        with pytest.raises(ValueError, match="boundary must be None"):
+            cn_solve(FIG1_PARAMS, 0.1, GridSpec(), boundary=mode)
+
+
+@pytest.mark.parametrize("k1, k2, tau_final, grid", [
+    (2.5, 1.3, 3.0, GridSpec(ny=64, n_steps=16)),
+    # the drift carries the left edge's call into view; a bound on the put alone passes
+    (1.0, 0.0, 400.0, GridSpec(y_min=-230.0, y_max=230.0, ny=64, n_steps=16)),
+], ids=["both-edges", "left-edge"])
+def test_solver_refuses_grid_too_narrow_for_asymptote(k1, k2, tau_final, grid):
+    with pytest.raises(ValueError, match="too narrow"):
+        cn_solve(GeneralizedReducedParams(k1, k2), tau_final, grid)
+
+
+def test_solver_refuses_overflowing_boundary_values():
+    # e^(-k2 tau) = e^1000 is not finite
+    with pytest.raises(ValueError, match="boundary values overflow"):
+        cn_solve(GeneralizedReducedParams(1.0, -1e4), 0.1, GridSpec(ny=64, n_steps=16))
+
+
+def test_oracle_imports_nothing_from_the_closed_forms():
+    # the oracle checks the closed forms, so it must not evaluate any part of them
+    for node in ast.walk(ast.parse(Path(pde_oracle.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            parts = {part for name in names for part in name.split(".")}
+            assert not parts & {"exact_pricing", "special_functions"}, ast.unparse(node)
 
 
 @pytest.mark.parametrize("tau_final", [np.array([0.1, 0.0]), np.array([0.1, -0.2]),
@@ -146,8 +174,7 @@ def test_second_order_convergence():
 
 
 def test_asymptote_boundary_mode_agrees():
-    sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=200, n_steps=200),
-                   boundary="asymptote")
+    sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=200, n_steps=200))
     ref = reduced_exact_u(sol.y[1:-1], FIG1_TAU, FIG1_PARAMS)
     assert np.abs(sol.final[1:-1] - ref).max() < 5e-4
 
@@ -156,26 +183,6 @@ def test_nonnegativity_monitor_records_minimum():
     sol = cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=200, n_steps=200))
     assert sol.min_value <= sol.final.min()
     assert sol.min_value > -1e-6  # diagnostic, not an assertion of the scheme
-
-
-@pytest.mark.parametrize("params", [FIG1_PARAMS, GeneralizedReducedParams(3.0, 4.0)],
-                         ids=["k1-eq-k2", "k1-ne-k2"])
-def test_exact_boundary_equals_scalar_callable_pair(params):
-    # the batched exact boundary must give the same bits as evaluating the
-    # closed form one time level at a time (payoff at tau = 0)
-    grid = GridSpec(ny=32, n_steps=24)
-    sol = cn_solve(params, 0.2, grid)
-
-    def scalar_exact(y_edge):
-        def value(tau):
-            if tau <= 0.0:
-                return float(np.maximum(1.0 - np.exp(y_edge), 0.0))
-            return float(reduced_exact_u(y_edge, tau, params))
-        return value
-
-    pair = (scalar_exact(float(sol.y[0])), scalar_exact(float(sol.y[-1])))
-    reference = cn_solve(params, 0.2, grid, boundary=pair)
-    assert np.array_equal(sol.final, reference.final)
 
 
 def _cn_matrix(lower, diag, upper, n):
@@ -260,10 +267,11 @@ def test_cn_run_matches_dense_stepping():
 
 def test_batched_solve_matches_each_contract_alone():
     # a (2, 3) batch from broadcasting k1 (2, 1) against tau (3,), with k2
-    # shared; each contract solved alone is the reference
+    # shared; each contract solved alone is the reference.  At tau = 0.3 and
+    # k1 = 2.5 the asymptote boundary needs more room than [-4, 4]
     k1, k2 = np.array([[0.4], [2.5]]), 1.3
     tau = np.array([0.02, 0.1, 0.3])
-    grid = GridSpec(ny=64, n_steps=48)
+    grid = GridSpec(y_min=-10.0, y_max=10.0, ny=64, n_steps=48)
     sol = cn_solve(GeneralizedReducedParams(k1, k2), tau, grid)
     assert sol.final.shape == (2, 3, grid.ny + 2)
     values, least = sol.value_at_zero(), sol.min_value
