@@ -105,20 +105,22 @@ def _check_coefs(*coefs):
                  "series terms overflow: |k1|, |k2| must not exceed 1e50, got {}", coef)
 
 
-def _terms(polys, orders, z, *coefs):
-    """f_n(z) of one family for each n in `orders`, stacked on a new first axis.
+def _term_rows(polys, orders, z, *coefs):
+    """f_n(z) of one family for each n in `orders`, yielded one order at a time.
 
     One `_sides` pass serves every order: (P_n, Q_n) = polys(n, zs, *coefs)
-    on each side.  z broadcasts against array coefficients.
+    on each side.  z broadcasts against array coefficients, and each row
+    has the broadcast shape; only the rows a caller keeps stay alive.
     """
     _check_coefs(*coefs)
     z = _with_coefs(z, *coefs)
-    out = np.empty((len(orders), z.size))
-    for at, zs, combine in _sides(z):
-        side_coefs = [_on_side(c, at, z.shape) for c in coefs]
-        for row, n in zip(out, orders):
+    sides = [(at, zs, combine, [_on_side(c, at, z.shape) for c in coefs])
+             for at, zs, combine in _sides(z)]
+    for n in orders:
+        row = np.empty(z.size)
+        for at, zs, combine, side_coefs in sides:
             row[at] = combine(*polys(n, zs, *side_coefs))
-    return out.reshape((len(orders),) + z.shape)
+        yield row.reshape(z.shape)
 
 
 def _series(z, w, order, k1, k2):
@@ -253,15 +255,10 @@ def _check_coordinate(value, name):
 
 
 def _term(name, polys, n, value, *coefs):
-    """f_n(value) of one family: the one-order case of `_terms`, over the broadcast shape."""
+    """f_n(value) of one family: the one-order case of `_term_rows`, over the broadcast shape."""
     z = _check_term_args(n, value, name)
     shape = np.broadcast_shapes(np.shape(value), *map(np.shape, coefs))
-    return _result(_terms(polys, (n,), z, *coefs)[0], shape)
-
-
-def _phi_terms(orders, xi, params: GeneralizedReducedParams):
-    """f_n(xi) of the generalized family for each n in `orders`, from one special-function pass."""
-    return _terms(_phi_polys, orders, _check_coordinate(xi, "phi_term"), params.k1, params.k2)
+    return _result(next(_term_rows(polys, (n,), z, *coefs)), shape)
 
 
 def phi_term(n, xi, params: GeneralizedReducedParams):

@@ -25,6 +25,8 @@ from .transforms import GeneralizedReducedParams
 
 log = logging.getLogger(__name__)
 _TAIL_TOLERANCE = 1e-15   # ~5 ulp of the solution's scale; validate's contracts leave 6.8e-20
+_MAX_EXPONENT = math.log(np.finfo(float).max / 2.0**32)   # a step's products reach ~dtau/(4h^2) u
+_REACTION_GAP = 1e-2   # validate's solves leave 2.2e-11, the tests 4.2e-5
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,9 @@ def _boundary_values(boundary, k1, k2, tau, y, taus):
         peak = np.maximum(-k2 * tau, y[0] + (k1 - k2) * tau).max()   # linear in tau, <= 0 at 0
     if tail > _TAIL_TOLERANCE:
         raise ValueError(f"grid too narrow for the asymptote boundary: tail bound {tail:.1e}")
-    if peak >= math.log(np.finfo(float).max):
-        raise ValueError("boundary values overflow: -k2 tau or (k1 - k2) tau is too large")
+    if peak > _MAX_EXPONENT:
+        raise ValueError("boundary values overflow the headroom: -k2 tau or y + (k1 - k2) tau "
+                         f"exceeds {_MAX_EXPONENT:.1f}")
     left = np.exp(-k2[..., None] * taus) - np.exp(y[0] + (k1 - k2)[..., None] * taus)
     return left, np.zeros_like(left)
 
@@ -189,8 +192,9 @@ def cn_solve(params: GeneralizedReducedParams, tau_final, grid: GridSpec,
     `params.k1`, `params.k2` and `tau_final` are floats or broadcastable
     arrays, one contract per element of their broadcast shape; every
     contract shares the grid and its n_steps and is stepped in the same time
-    loop.  The Dirichlet data is the payoff's deep-tail asymptote, and a
-    grid too narrow for it raises ValueError (see `_boundary_values`).  Test
+    loop.  The Dirichlet data is the payoff's deep-tail asymptote; a grid
+    too narrow for it, a scale e^(-k2 tau) near overflow and a time step the
+    reaction -k2 u dominates raise ValueError (see `_boundary_values`).  Test
     hooks: `initial` overrides the put payoff, and `boundary`, a (left, right)
     pair of callables of a scalar tau shared by every contract, the boundary
     data.  Second order in both h and dtau.  Every step applies each
@@ -211,6 +215,11 @@ def cn_solve(params: GeneralizedReducedParams, tau_final, grid: GridSpec,
     taus = dtau[..., None] * np.arange(grid.n_steps + 1)
     # (left, right) at every level: batch shape + (n_steps + 1, 2)
     edges = np.stack(_boundary_values(boundary, k1, k2, tau, y, taus), axis=-1)
+    # the scheme's reaction factor (1 - x)/(1 + x), x = dtau k2 / 2, stands for e^(-2x): it is not
+    # positive for |x| >= 1, and compounded over the steps it misses e^(-k2 tau) by e^gap
+    x = float(np.abs(0.5 * dtau * k2).max())   # the gap grows with |x|
+    if not (x < 1.0 and 2 * grid.n_steps * (math.atanh(x) - x) <= _REACTION_GAP):
+        raise ValueError("reaction dominates the time step: dtau |k2| / 2 must be small")
 
     a_coef = 1.0 / (h * h) - (k1 - 1.0) / (2.0 * h)   # multiplies u_{j-1}
     b_coef = -2.0 / (h * h) - k2                      # multiplies u_j
@@ -241,25 +250,23 @@ def cn_solve(params: GeneralizedReducedParams, tau_final, grid: GridSpec,
 # ---------------------------------------------------------------------------
 
 
-def _fd_residuals(term_indices, params, z, w, steps):
-    """fd_residual of each order in `term_indices` (axis 0) at each step of `steps` (axis 1).
+def _fd_residuals(orders, params, z, w, steps):
+    """Yield fd_residual of each order in the range `orders`, one row per step of `steps`.
 
-    One special-function pass evaluates every order the residuals need on
-    the stacked stencil points [z, z + h, z - h for each h]; f_n(z) also
-    serves the w-derivative, which moves only the power of w.  The steps
-    run along a leading axis, so each stencil operation of an order is one
-    array call.
+    One special-function pass yields the terms order by order on the stacked
+    stencil points [z, z + h, z - h for each h], and only orders n - 2..n are
+    kept.  f_n(z) also serves the w-derivative, which moves only the power
+    of w.  Each stencil operation of an order is one array call over the steps.
     """
-    for n in term_indices:
+    for n in orders:
         if not 0 <= n < hpm_series.MAX_ORDER:
             raise ValueError(f"term_index must lie in [0, {hpm_series.MAX_ORDER - 1}], got {n}")
     if w <= 0 or min(steps) <= 0:
         raise ValueError("fd_residual needs w > 0 and h > 0")
     z = np.asarray(z, dtype=float)
     k1, k2 = params.k1, params.k2
-    low = max(min(term_indices) - 2, 0)
+    low = max(orders[0] - 2, 0)
     points = np.stack([z] + [z + s for h in steps for s in (h, -h)])
-    f = hpm_series._phi_terms(range(low, max(term_indices) + 1), points, params)
 
     def per_step(value):
         # value(h) for each step, as a column against z
@@ -267,36 +274,40 @@ def _fd_residuals(term_indices, params, z, w, steps):
 
     # stencil rows of f: z, then z + h_i in row i of `plus` and z - h_i in row i of `minus`
     centre, plus, minus = 0, slice(1, None, 2), slice(2, None, 2)
+    h_sq, two_h = per_step(lambda h: h * h), per_step(lambda h: 2.0 * h)
+    w_up, w_down = per_step(lambda h: w + h), per_step(lambda h: w - h)
+    span, f = range(low, orders[-1] + 1), {}   # f: the rows of the latest orders
+    rows = hpm_series._term_rows(hpm_series._phi_polys, span,
+                                 hpm_series._check_coordinate(points, "fd_residual"), k1, k2)
 
     def u(m, point):
         # u_m = f_m(z) w^m at the stencil point(s)
-        return f[m - low, point] * w**m
+        return f[m][point] * w**m
 
-    h_sq, two_h = per_step(lambda h: h * h), per_step(lambda h: 2.0 * h)
-    w_up, w_down = per_step(lambda h: w + h), per_step(lambda h: w - h)
-    residuals = []
-    for n in term_indices:
+    for n, row in zip(span, rows):
+        f[n] = row
+        if n < orders[0]:
+            continue
         f_c, f_p, f_m = u(n, centre), u(n, plus), u(n, minus)
         d2z = (f_p - 2.0 * f_c + f_m) / h_sq
         d1z = (f_p - f_m) / two_h
         # u_n(z, w +- h) = f_n(z) (w +- h)^n, with the powers taken per step
-        dw = (w_up * (f[n - low, centre] * per_step(lambda h: (w + h) ** n))
-              - w_down * (f[n - low, centre] * per_step(lambda h: (w - h) ** n))) / two_h
+        dw = (w_up * (f[n][centre] * per_step(lambda h: (w + h) ** n))
+              - w_down * (f[n][centre] * per_step(lambda h: (w - h) ** n))) / two_h
         resid = 2.0 * d2z + z * d1z - dw
         if n >= 1:
             resid = resid + 2.0 * (k1 - 1.0) * w * (u(n - 1, plus) - u(n - 1, minus)) / two_h
         if n >= 2:
             resid = resid - 2.0 * k2 * w * w * u(n - 2, centre)
-        residuals.append(resid)
-    return np.stack(residuals)
+        yield resid
+        f.pop(n - 2, None)   # order n + 1 needs only n and n - 1
 
 
-def _richardson_residuals(term_indices, params, z, w, h):
-    """richardson_residual of each order in `term_indices`, from one special-function pass."""
-    steps = (h, 0.5 * h, 0.25 * h)
-    r1, r2, r4 = np.moveaxis(_fd_residuals(term_indices, params, z, w, steps), 1, 0)
-    # a1 = (4 r2 - r1)/3 and a2 = (4 r4 - r2)/3 cancel h^2, (16 a2 - a1)/15 then h^4
-    return [_result(r) for r in (16.0 * ((4.0 * r4 - r2) / 3.0) - (4.0 * r2 - r1) / 3.0) / 15.0]
+def _richardson_residuals(orders, params, z, w, h):
+    """Yield richardson_residual of each order in the range `orders`, from one term pass."""
+    for r1, r2, r4 in _fd_residuals(orders, params, z, w, (h, 0.5 * h, 0.25 * h)):
+        # a1 = (4 r2 - r1)/3 and a2 = (4 r4 - r2)/3 cancel h^2, (16 a2 - a1)/15 then h^4
+        yield _result((16.0 * ((4.0 * r4 - r2) / 3.0) - (4.0 * r2 - r1) / 3.0) / 15.0)
 
 
 def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
@@ -308,7 +319,7 @@ def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
     with u_n = f_n(z) w^n.  Vanishes analytically for every generalized
     term; the estimate is O(h^2).  Accepts scalar or array z.
     """
-    return _result(_fd_residuals((term_index,), params, z, w, (h,))[0, 0])
+    return _result(next(_fd_residuals(range(term_index, term_index + 1), params, z, w, (h,)))[0])
 
 
 def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,
@@ -319,4 +330,4 @@ def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,
     analytically zero residual extrapolates to ~1e-11 or below.  The three
     stencils share one special-function pass.
     """
-    return _richardson_residuals((term_index,), params, z, w, h)[0]
+    return next(_richardson_residuals(range(term_index, term_index + 1), params, z, w, h))

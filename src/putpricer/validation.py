@@ -11,11 +11,13 @@ against the two-asset model itself.  The CN solver's boundary values are the
 payoff's deep-tail asymptote, and it refuses a grid too narrow for them.
 `run_all` powers both the CLI `validate` command and the acceptance tests.
 
-The random-contract checks (specialization identity, recursion residuals,
-quanto internal consistency, degenerations) run as array calls: their
+Every oracle runs as array calls, with no loop over points: random
 contracts are drawn as blocks of `rng.random` scaled column by column,
-which reproduces the one-contract-at-a-time draws bit for bit, and each
-family is priced in one call over array-valued spec fields.
+which reproduces the one-contract-at-a-time draws bit for bit, each family
+or series order is priced in one call over array-valued fields, and the
+series terms arrive one order at a time.  Every array stays below glibc's
+128 KB mmap threshold, since freeing a larger one raises that threshold and
+grows the heap for the rest of the process; the chunk sizes below keep it.
 
 Frozen regression constants were established once with the oracles in this
 module and are asserted with 5% slack thereafter.
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -113,14 +114,11 @@ def check_specialization_identity(profile="default"):
     ks = rng.uniform(0.1, 3.0, 1000)[:20, None]   # k on the first axis, xi on the second
     orders = range(hpm_series.MAX_ORDER)
     worst = 0.0
-    # every order in one pass, two k per call: arrays stay below glibc's 128 KB mmap
-    # threshold; freeing a larger one raises it and grows the heap for the rest of the process
-    for k in np.split(ks, 10):
-        diff = np.abs(
-            hpm_series._phi_terms(orders, xi, GeneralizedReducedParams(k, k))
-            - hpm_series._terms(hpm_series._single_polys, orders, xi, k)
-        )
-        worst = max(worst, float(diff.max()))
+    # five k per call, both families compared one order at a time: 40 KB rows
+    for k in np.split(ks, 4):
+        for phi, single in zip(hpm_series._term_rows(hpm_series._phi_polys, orders, xi, k, k),
+                               hpm_series._term_rows(hpm_series._single_polys, orders, xi, k)):
+            worst = max(worst, float(np.abs(phi - single).max()))
     bound = _tol(1e-12, profile)
     return [CheckResult("specialization-identity", worst, f"<= {bound:.1e}",
                         worst <= bound)]
@@ -135,10 +133,8 @@ def check_recursion_residuals(profile="default"):
         params = GeneralizedReducedParams(float(k1), float(k2))
         z = _uniform(row[2:1002], -3.0, 3.0)
         w = float(_uniform(row[1002], 0.05, 0.8))
-        # two halves of z halve the stacked term table, (6, 7000) floats for the whole
-        for half in np.split(z, 2):
-            for r in _richardson_residuals(range(hpm_series.MAX_ORDER), params, half, w, 0.02):
-                worst = max(worst, float(np.abs(r).max()))
+        for r in _richardson_residuals(range(hpm_series.MAX_ORDER), params, z, w, 0.02):
+            worst = max(worst, float(np.abs(r).max()))
     bound = _tol(1e-8, profile)
     results = [CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",
                            worst <= bound)]
@@ -267,16 +263,22 @@ def check_degenerations(profile="default"):
 # ---------------------------------------------------------------------------
 
 
-def _hpm2_max_error(order, grid):
+def _hpm2_max_errors(*grids):
+    """max |hpm2 - exact| of orders 1..6 at the Section-5 contract, on each grid of spots."""
     atm = VanillaOptionSpec(spot=40.0, **SECTION5)
-    series = hpm_series.price_single_hpm2(atm, order, spot=grid)
-    exact = bs_put(atm, spot=grid)
-    return float(np.abs(series - exact).max())
+    spots = np.concatenate(grids)
+    exact = bs_put(atm, spot=spots)
+    errs = np.array([np.abs(hpm_series.price_single_hpm2(atm, order, spot=spots) - exact)
+                     for order in range(1, 7)])
+    return [part.max(axis=1).tolist()
+            for part in np.split(errs, np.cumsum([g.size for g in grids[:-1]]), axis=1)]
 
 
 def check_hpm2_accuracy(profile="default"):
     grid = np.linspace(1.0, 100.0, 201)
-    measured = _hpm2_max_error(6, grid)
+    region = np.linspace(20.0, 100.0, 81)
+    errs_full, errs_region = _hpm2_max_errors(grid, region)
+    measured = errs_full[-1]
     bound = 1.05 * EPS1_HPM2_MAX_ERROR
     results = [CheckResult("hpm2-error-frozen", measured, f"<= {bound:.6f}",
                            measured <= bound)]
@@ -286,14 +288,11 @@ def check_hpm2_accuracy(profile="default"):
     # S -> 0 (see the mpmath oracle tests/test_hpm_series.py::term_taylor_oracle)
     # and the clamped odd/even partial sums alternate, so the global max
     # cannot decrease monotonically (documented diagnostic, see the region check)
-    region = np.linspace(20.0, 100.0, 81)
-    errs_region = [_hpm2_max_error(order, region) for order in range(1, 7)]
     monotone_region = all(b < a for a, b in zip(errs_region, errs_region[1:]))
     results.append(CheckResult("hpm2-order-monotone-region", errs_region[-1],
                                "max err strictly falls, orders 1..6 on S in [20,100]",
                                monotone_region))
 
-    errs_full = [_hpm2_max_error(order, grid) for order in range(1, 7)]
     monotone_full = all(b <= a for a, b in zip(errs_full, errs_full[1:]))
     results.append(CheckResult("hpm2-order-monotone-full-grid", max(errs_full),
                                "nonincreasing on S in [1,100] (known impossible)",
@@ -302,26 +301,18 @@ def check_hpm2_accuracy(profile="default"):
 
 
 def check_smoothness_contrast(profile="default"):
-    _, tau, k = to_dimensionless_arrays(VanillaOptionSpec(spot=40.0, **SECTION5))
+    spec = VanillaOptionSpec(spot=40.0, **SECTION5)
+    _, tau, k = to_dimensionless_arrays(spec)
     kink = 40.0 * math.exp(-k * tau)
     h = 1e-6
-
-    def hpm1(s):
-        return hpm_series.price_single_hpm1(VanillaOptionSpec(spot=s, **SECTION5))
-
-    jump = abs(
-        (hpm1(kink + h) - hpm1(kink)) / h - (hpm1(kink) - hpm1(kink - h)) / h
-    )
+    up, at, down = hpm_series.price_single_hpm1(spec, spot=np.array([kink + h, kink, kink - h]))
+    jump = float(abs((up - at) / h - (at - down) / h))
     results = [CheckResult("hpm1-kink-jump", jump, ">= 0.1", jump >= 0.1)]
 
-    def hpm2(s):
-        return hpm_series.price_single_hpm2(VanillaOptionSpec(spot=s, **SECTION5))
-
-    second = []
-    for step in (1.0, 0.5, 0.25, 0.125):
-        second.append(
-            (hpm2(40.0 + step) - 2.0 * hpm2(40.0) + hpm2(40.0 - step)) / (step * step)
-        )
+    steps = np.array([1.0, 0.5, 0.25, 0.125])
+    up, at, down = np.split(hpm_series.price_single_hpm2(
+        spec, spot=np.concatenate([40.0 + steps, [40.0], 40.0 - steps])), [4, 5])
+    second = ((up - 2.0 * at + down) / (steps * steps)).tolist()
     bounded = all(abs(v) < 1.0 for v in second)
     convergent = abs(second[-1] - second[-2]) < 0.25 * abs(second[-1])
     results.append(CheckResult("hpm2-second-difference", second[-1],
@@ -369,15 +360,16 @@ def check_error_surfaces(profile="default"):
 
 
 def _normal_cdf_quadrature(v, nodes, weights):
-    # composite Gauss-Legendre on [0, v]; independent of the erfc route
-    panels = 4
-    edges = np.linspace(0.0, v, panels + 1)
+    # composite Gauss-Legendre on [0, v] per v, panels summed in turn; independent of erfc
+    edges = np.linspace(0.0, v, 5)[..., None]   # panel edges on axis 0, nodes last
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = 0.5 * (edges[:-1] + edges[1:]) + half * nodes
+    t *= -0.5 * t   # in place from here: this table is the check's largest array
+    np.exp(t, out=t)
+    t *= weights
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t = mid + half * nodes
-        total += half * float(np.sum(weights * np.exp(-0.5 * t * t)))
+    for panel in half[..., 0] * np.sum(t, axis=-1):
+        total = total + panel
     return 0.5 + total / math.sqrt(2.0 * math.pi)
 
 
@@ -392,7 +384,9 @@ def _erf_maclaurin(x, terms=30):
 def check_special_functions(profile="default"):
     nodes, weights = np.polynomial.legendre.leggauss(64)
     vs = np.linspace(-8.0, 8.0, 401)
-    quadrature = [_normal_cdf_quadrature(v, nodes, weights) for v in vs.tolist()]
+    # eight chunks keep each (4, 51, 64) node table at most 104 KB
+    quadrature = np.concatenate([_normal_cdf_quadrature(chunk, nodes, weights)
+                                 for chunk in np.array_split(vs, 8)])
     worst_n = float(np.abs(normal_cdf(vs) - quadrature).max())
     # the default bound already sits a few ulps from 0.5; strict cannot go lower
     bound_n = _tol(1e-15, profile, floor=5e-16)
@@ -442,21 +436,19 @@ def check_tail_asymptotics(profile="default"):
     pairs = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(2)]
     singles = list(rng.uniform(0.1, 3.0, 2))
 
-    # (f_n as a function of (n, z), k1, k2): both term families, one loop
-    terms = [(partial(hpm_series.phi_term, params=GeneralizedReducedParams(float(k1), float(k2))),
-              k1, k2) for k1, k2 in pairs]
-    terms += [(partial(hpm_series.single_asset_term, k=float(k)), k, k) for k in singles]
+    # (polynomial factors, their coefficients, k1, k2): both term families, one loop
+    families = [(hpm_series._phi_polys, (float(k1), float(k2)), k1, k2) for k1, k2 in pairs]
+    families += [(hpm_series._single_polys, (float(k),), k, k) for k in singles]
 
-    worst_left = 0.0
-    worst_right = 0.0
-    worst_monomial = 0.0
-    for term, k1, k2 in terms:
-        for n in range(hpm_series.MAX_ORDER):
-            f_left = term(n, -12.0)
+    worst_left = worst_right = worst_monomial = 0.0
+    tails = np.array([-12.0, 12.0])
+    for polys, coefs, k1, k2 in families:
+        rows = hpm_series._term_rows(polys, range(hpm_series.MAX_ORDER), tails, *coefs)
+        for n, (f_left, f_right) in enumerate(row.tolist() for row in rows):
             worst_left = max(worst_left, abs(
                 f_left - _deep_itm_asymptote(n, -12.0, k1, k2)
             ))
-            worst_right = max(worst_right, abs(term(n, 12.0)))
+            worst_right = max(worst_right, abs(f_right))
             monomial = -((-12.0) ** (n + 1)) / math.factorial(n + 1)
             worst_monomial = max(worst_monomial, abs(f_left - monomial))
 

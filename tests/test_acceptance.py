@@ -88,8 +88,7 @@ def test_criterion_06_hpm2_accuracy_frozen_and_region_monotonicity():
     "S in [20, 100], asserted in criterion 06",
 )
 def test_criterion_06_order_monotonicity_full_grid_as_stated():
-    grid = np.linspace(1.0, 100.0, 201)
-    errs = [validation._hpm2_max_error(order, grid) for order in range(1, 7)]
+    (errs,) = validation._hpm2_max_errors(np.linspace(1.0, 100.0, 201))
     assert all(b <= a for a, b in zip(errs, errs[1:]))
 
 
@@ -110,11 +109,16 @@ def test_criterion_09_special_functions():
 
 def test_special_functions_check_matches_scalar_loop():
     # the array form of the check must measure exactly what one call per
-    # point measured
+    # point measured, with the quadrature summed panel by panel
     nodes, weights = np.polynomial.legendre.leggauss(64)
     worst_n = 0.0
     for v in np.linspace(-8.0, 8.0, 401):
-        quad = validation._normal_cdf_quadrature(float(v), nodes, weights)
+        edges = np.linspace(0.0, v, 5)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+            total += 0.5 * (hi - lo) * float(np.sum(weights * np.exp(-0.5 * t * t)))
+        quad = 0.5 + total / math.sqrt(2.0 * math.pi)
         worst_n = max(worst_n, abs(normal_cdf(float(v)) - quad))
     worst_e = 0.0
     for x in np.linspace(-1.0, 1.0, 201):
@@ -305,12 +309,97 @@ def _loop_degenerations(profile):
     ]
 
 
+def _section5_at(spot):
+    return VanillaOptionSpec(spot=spot, **validation.SECTION5)
+
+
+def _loop_hpm2_accuracy(profile):
+    def max_error(order, grid):
+        return max(abs(hpm_series.price_single_hpm2(_section5_at(s), order)
+                       - bs_put(_section5_at(s))) for s in grid.tolist())
+
+    grid = np.linspace(1.0, 100.0, 201)
+    measured = max_error(6, grid)
+    bound = 1.05 * validation.EPS1_HPM2_MAX_ERROR
+    results = [validation.CheckResult("hpm2-error-frozen", measured, f"<= {bound:.6f}",
+                                      measured <= bound)]
+    errs_region = [max_error(order, np.linspace(20.0, 100.0, 81)) for order in range(1, 7)]
+    monotone_region = all(b < a for a, b in zip(errs_region, errs_region[1:]))
+    results.append(validation.CheckResult(
+        "hpm2-order-monotone-region", errs_region[-1],
+        "max err strictly falls, orders 1..6 on S in [20,100]", monotone_region))
+    errs_full = [max_error(order, grid) for order in range(1, 7)]
+    monotone_full = all(b <= a for a, b in zip(errs_full, errs_full[1:]))
+    results.append(validation.CheckResult(
+        "hpm2-order-monotone-full-grid", max(errs_full),
+        "nonincreasing on S in [1,100] (known impossible)", monotone_full,
+        severity="diagnostic"))
+    return results
+
+
+def _loop_smoothness_contrast(profile):
+    rc = to_dimensionless(_section5_at(40.0))
+    kink = 40.0 * math.exp(-rc.k * rc.tau)
+    h = 1e-6
+
+    def hpm1(s):
+        return hpm_series.price_single_hpm1(_section5_at(s))
+
+    jump = abs((hpm1(kink + h) - hpm1(kink)) / h - (hpm1(kink) - hpm1(kink - h)) / h)
+    results = [validation.CheckResult("hpm1-kink-jump", jump, ">= 0.1", jump >= 0.1)]
+
+    def hpm2(s):
+        return hpm_series.price_single_hpm2(_section5_at(s))
+
+    second = [(hpm2(40.0 + step) - 2.0 * hpm2(40.0) + hpm2(40.0 - step)) / (step * step)
+              for step in (1.0, 0.5, 0.25, 0.125)]
+    bounded = all(abs(v) < 1.0 for v in second)
+    convergent = abs(second[-1] - second[-2]) < 0.25 * abs(second[-1])
+    results.append(validation.CheckResult("hpm2-second-difference", second[-1],
+                                          "bounded and grid-convergent across S = E",
+                                          bounded and convergent))
+    return results
+
+
+def _loop_tail_asymptotics(profile):
+    rng = np.random.default_rng(55)
+    pairs = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(2)]
+    singles = list(rng.uniform(0.1, 3.0, 2))
+    terms = [(lambda n, z, p=GeneralizedReducedParams(float(k1), float(k2)):
+              hpm_series.phi_term(n, z, p), k1, k2) for k1, k2 in pairs]
+    terms += [(lambda n, z, k=float(k): hpm_series.single_asset_term(n, z, k), k, k)
+              for k in singles]
+    worst_left = worst_right = worst_monomial = 0.0
+    for term, k1, k2 in terms:
+        for n in range(hpm_series.MAX_ORDER):
+            f_left = term(n, -12.0)
+            worst_left = max(worst_left,
+                             abs(f_left - validation._deep_itm_asymptote(n, -12.0, k1, k2)))
+            worst_right = max(worst_right, abs(term(n, 12.0)))
+            monomial = -((-12.0) ** (n + 1)) / math.factorial(n + 1)
+            worst_monomial = max(worst_monomial, abs(f_left - monomial))
+    bound_left = validation._tol(1e-8, profile)
+    bound_right = validation._tol(1e-12, profile)
+    return [
+        validation.CheckResult("tail-asymptote-left", worst_left, f"<= {bound_left:.1e}",
+                               worst_left <= bound_left),
+        validation.CheckResult("tail-decay-right", worst_right, f"<= {bound_right:.1e}",
+                               worst_right <= bound_right),
+        validation.CheckResult("tail-leading-monomial-gap", worst_monomial,
+                               "recorded (nonzero by construction for n >= 1)",
+                               worst_monomial <= bound_left, severity="diagnostic"),
+    ]
+
+
 @pytest.mark.parametrize("check, loop", [
     (validation.check_specialization_identity, _loop_specialization_identity),
     (validation.check_recursion_residuals, _loop_recursion_residuals),
     (validation.check_quanto_internal_consistency, _loop_quanto_internal_consistency),
     (validation.check_degenerations, _loop_degenerations),
-], ids=["specialization", "recursion", "quanto", "degenerations"])
+    (validation.check_hpm2_accuracy, _loop_hpm2_accuracy),
+    (validation.check_smoothness_contrast, _loop_smoothness_contrast),
+    (validation.check_tail_asymptotics, _loop_tail_asymptotics),
+], ids=["specialization", "recursion", "quanto", "degenerations", "hpm2", "smoothness", "tail"])
 def test_batched_check_equals_its_loop(check, loop):
     assert check("default") == loop("default")
 

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from putpricer import hpm_series as hpm
 from putpricer.exact_pricing import bs_put, reduced_exact_u
 from putpricer.hpm_series import (
     MAX_ORDER,
@@ -128,6 +129,25 @@ def test_specialization_identity_random():
             params = GeneralizedReducedParams(float(k), float(k))
             diff = np.abs(phi_term(n, xi, params) - single_asset_term(n, xi, float(k)))
             assert diff.max() <= 1e-12
+
+
+def test_term_rows_equal_one_call_per_order():
+    # one special-function pass yielding order after order returns what a
+    # term call per order returns, on both sides of z = 0 and for array k
+    rng = np.random.default_rng(124)
+    z = rng.uniform(-10.0, 10.0, 300)
+    k1, k2 = rng.uniform(-2.0, 3.0, (2, 4, 1))
+    orders = range(MAX_ORDER)
+    phi_rows = list(hpm._term_rows(hpm._phi_polys, orders, z, k1, k2))
+    single_rows = list(hpm._term_rows(hpm._single_polys, orders, z, k1))
+    assert np.stack(phi_rows).shape == np.stack(single_rows).shape == (MAX_ORDER, 4, 300)
+    for n, phi, single in zip(orders, phi_rows, single_rows):
+        assert np.array_equal(phi, phi_term(n, z, GeneralizedReducedParams(k1, k2)))
+        assert np.array_equal(single, single_asset_term(n, z, k1))
+    # a range that starts above 0 yields only its own orders
+    later = list(hpm._term_rows(hpm._phi_polys, range(3, MAX_ORDER), z, k1, k2))
+    assert len(later) == MAX_ORDER - 3
+    assert all(np.array_equal(row, phi_rows[n]) for n, row in zip(range(3, MAX_ORDER), later))
 
 
 @pytest.mark.parametrize(

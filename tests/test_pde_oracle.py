@@ -81,6 +81,36 @@ def test_solver_refuses_overflowing_boundary_values():
         cn_solve(GeneralizedReducedParams(1.0, -1e4), 0.1, GridSpec(ny=64, n_steps=16))
 
 
+@pytest.mark.parametrize("k1, k2, tau_final, grid", [
+    (1.0, -7000.0, 0.1, GridSpec(ny=64, n_steps=16)),
+    (1.0, -7000.0, 0.1, GridSpec(ny=400, n_steps=400)),
+    # fine enough in time for the reaction: e^690 fits, but a step's products need room above it
+    (1.0, -6900.0, 0.1, GridSpec(ny=16, n_steps=60000)),
+], ids=["coarse", "fine", "fine-in-time"])
+def test_solver_refuses_scale_without_headroom(k1, k2, tau_final, grid):
+    # exact values 1.4e303 and 6.4e298; the solver returned 6.4e239, nan and 7.2e298
+    with pytest.raises(ValueError, match="headroom"):
+        cn_solve(GeneralizedReducedParams(k1, k2), tau_final, grid)
+
+
+@pytest.mark.parametrize("k2, grid", [
+    (-3500.0, GridSpec(ny=64, n_steps=16)),    # (1 - x)/(1 + x) < 0 at x = 10.9
+    (5000.0, GridSpec(ny=400, n_steps=400)),   # 0 < x = 0.625 < 1, a positive factor
+    (-500.0, GridSpec(ny=64, n_steps=50)),     # x = 0.5, compounded over 50 steps to e^4.9
+], ids=["negative-factor", "decay", "compounded"])
+def test_solver_refuses_reaction_dominated_steps(k2, grid):
+    # the solver returned 2.7e98, -2.9e-213 and 1.1e23 against exact 1.4e151, 9.8e-219, 7.2e20
+    with pytest.raises(ValueError, match="reaction dominates"):
+        cn_solve(GeneralizedReducedParams(1.0, k2), 0.1, grid)
+
+
+def test_reaction_dominated_contract_solves_with_enough_steps():
+    # the "compounded" contract above: 40x the steps leave the reaction 0.3 % off e^50
+    params = GeneralizedReducedParams(1.0, -500.0)
+    sol = cn_solve(params, 0.1, GridSpec(ny=400, n_steps=2000))
+    assert sol.value_at_zero() == pytest.approx(reduced_exact_u(0.0, 0.1, params), rel=5e-3)
+
+
 def test_oracle_imports_nothing_from_the_closed_forms():
     # the oracle checks the closed forms, so it must not evaluate any part of them
     for node in ast.walk(ast.parse(Path(pde_oracle.__file__).read_text())):
@@ -324,6 +354,29 @@ def test_estimator_is_second_order():
         math.sqrt(float((r1**2).mean())) / math.sqrt(float((r2**2).mean()))
     )
     assert 1.8 <= order <= 2.2
+
+
+def test_rows_fed_residuals_equal_one_call_per_order():
+    # the stencil fed one order's terms at a time returns what fd_residual
+    # returns for each order and step alone, on both sides of z = 0
+    rng = np.random.default_rng(25)
+    params = GeneralizedReducedParams(0.7, -1.3)
+    z = rng.uniform(-3.0, 3.0, (4, 50))
+    w, steps = 0.4, (0.02, 0.01, 0.005)
+    rows = list(pde_oracle._fd_residuals(range(hpm_series.MAX_ORDER), params, z, w, steps))
+    assert np.stack(rows).shape == (hpm_series.MAX_ORDER, len(steps), 4, 50)
+    for n, row in enumerate(rows):
+        for i, h in enumerate(steps):
+            assert np.array_equal(row[i], fd_residual(n, params, z, w, h))
+    # a range that starts above 0 yields only its own orders
+    later = list(pde_oracle._fd_residuals(range(3, hpm_series.MAX_ORDER), params, z, w, steps))
+    assert len(later) == hpm_series.MAX_ORDER - 3
+    assert all(np.array_equal(row, rows[n]) for n, row in zip(range(3, hpm_series.MAX_ORDER), later))
+    extrapolated = list(pde_oracle._richardson_residuals(range(hpm_series.MAX_ORDER), params, z, w,
+                                                         0.02))
+    assert len(extrapolated) == hpm_series.MAX_ORDER
+    for n, r in enumerate(extrapolated):
+        assert np.array_equal(r, richardson_residual(n, params, z, w, 0.02))
 
 
 def test_residual_detects_corrupted_term(monkeypatch):
