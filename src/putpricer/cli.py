@@ -19,10 +19,6 @@ from .config import CONTRACTS, METHODS, SCHEMA, ExperimentConfig
 from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact
 from .surface import PriceSurface
 
-FIGURE_CONTRACT = {1: "single", 2: "single", 3: "basket", 4: "basket",
-                   5: "quanto", 6: "quanto"}
-
-
 def _parse_vector(text):
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
@@ -73,33 +69,33 @@ def _load_config(args, contract):
 # ---------------------------------------------------------------------------
 
 
-def _price_single(config, **overrides):
-    spec = config.vanilla_spec(**overrides)
-    exact = bs_put(spec)
-    if config.method == "exact":
-        return exact, exact
-    if config.method == "hpm1":
-        return hpm_series.price_single_hpm1(spec), exact
-    return hpm_series.price_single_hpm2(spec, config.order), exact
+# contract: (config spec builder, {method: pricer(spec, order)}); each pricer
+# looks its name up when called, so a wrapper installed on that name (a tracer) runs
+_PRICING = {
+    "single": ("vanilla_spec", {
+        "exact": lambda spec, order: bs_put(spec),
+        "hpm1": lambda spec, order: hpm_series.price_single_hpm1(spec),
+        "hpm2": lambda spec, order: hpm_series.price_single_hpm2(spec, order),
+    }),
+    "basket": ("basket_spec", {
+        "exact": lambda spec, order: basket_put_exact(spec),
+        "hpm2": lambda spec, order: hpm_series.price_basket_hpm(spec, order),
+    }),
+    "quanto": ("quanto_spec", {
+        "exact": lambda spec, order: quanto_put_exact(spec),
+        "hpm2": lambda spec, order: hpm_series.price_quanto_hpm(spec, order),
+    }),
+}
 
 
-def _price_basket(config, **overrides):
-    spec = config.basket_spec(**overrides)
-    exact = basket_put_exact(spec)
-    if config.method == "exact":
-        return exact, exact
-    return hpm_series.price_basket_hpm(spec, config.order), exact
+def _prices(config, methods, overrides=None):
+    """{method: price} of the configured contract with its fields overridden, from one spec.
 
-
-def _price_quanto(config, **overrides):
-    spec = config.quanto_spec(**overrides)
-    exact = quanto_put_exact(spec)
-    if config.method == "exact":
-        return exact, exact
-    return hpm_series.price_quanto_hpm(spec, config.order), exact
-
-
-_PRICERS = {"single": _price_single, "basket": _price_basket, "quanto": _price_quanto}
+    Array-valued overrides price a whole sweep in one call per method.
+    """
+    builder, pricers = _PRICING[config.contract]
+    spec = getattr(config, builder)(**(overrides or {}))
+    return {method: pricers[method](spec, config.order) for method in dict.fromkeys(methods)}
 
 
 def _axis(config, key, default_start, default_stop, default_points, name):
@@ -136,55 +132,44 @@ def _metadata(config, figure_id=None, extra=None):
     return meta
 
 
+# figure: (contract, axes, columns, metadata).  An axis is (config key, swept
+# field, header, default start, stop and points), where a stop that names a
+# field reads it from the contract; a column is (header, method, method
+# subtracted from it or None).
+_SPOT_AXIS = ("axis1", "spot", "S", 0.0, 100.0, 201)
+_BASKET_AXES = (("axis1", "spot1", "S1", 20.0, 60.0, 41), ("axis2", "spot2", "S2", 20.0, 60.0, 41))
+_QUANTO_AXES = (("axis1", "s1", "S1", 20.0, 60.0, 41), ("axis2", "s2", "S2", 20.0, 60.0, 41))
+_PRICE = (("price", "exact", None),)
+_ERROR = (("error", "hpm2", "exact"),)
+_FIGURES = {
+    1: ("single", (_SPOT_AXIS,),
+        (("exact", "exact", None), ("hpm1", "hpm1", None), ("hpm2", "hpm2", None)),
+        {"methods": "exact,hpm1,hpm2"}),
+    2: ("single", (_SPOT_AXIS, ("axis2", "valuation_time", "t", 0.0, "maturity", 51)),
+        _ERROR, {"error": "hpm2 - exact"}),
+    3: ("basket", _BASKET_AXES, _PRICE, {"method": "exact"}),
+    4: ("basket", _BASKET_AXES, _ERROR, {"error": "series - exact"}),
+    5: ("quanto", _QUANTO_AXES, _PRICE, {"method": "exact"}),
+    6: ("quanto", _QUANTO_AXES, _ERROR, {"error": "series - exact"}),
+}
+
+
 def figure_surface(figure_id, config):
-    """Build the data behind one of the six standard figures, one array call per series."""
-    if figure_id in (1, 2):
-        spots = _axis(config, "axis1", 0.0, 100.0, 201, "spot axis")
-        spec = config.vanilla_spec()
-        if figure_id == 1:
-            return PriceSurface(
-                axis_names=("S",), axes=(spots,),
-                value_names=("exact", "hpm1", "hpm2"),
-                values=(
-                    bs_put(spec, spot=spots),
-                    hpm_series.price_single_hpm1(spec, spot=spots),
-                    hpm_series.price_single_hpm2(spec, config.order, spot=spots),
-                ),
-                metadata=_metadata(config, 1, {"methods": "exact,hpm1,hpm2"}),
-            )
-        times = _axis(config, "axis2", 0.0, spec.maturity, 51, "time axis")
-        grid = {"spot": spots[:, None], "valuation_time": times}
-        error = (hpm_series.price_single_hpm2(spec, config.order, **grid)
-                 - bs_put(spec, **grid))
-        return PriceSurface(
-            axis_names=("S", "t"), axes=(spots, times),
-            value_names=("error",), values=(error,),
-            metadata=_metadata(config, 2, {"error": "hpm2 - exact"}),
-        )
-
-    s1_axis = _axis(config, "axis1", 20.0, 60.0, 41, "S1 axis")
-    s2_axis = _axis(config, "axis2", 20.0, 60.0, 41, "S2 axis")
-    is_error = figure_id in (4, 6)
-
-    if config.contract == "basket":
-        spec = config.basket_spec()
-        g1, g2 = np.meshgrid(s1_axis, s2_axis, indexing="ij")
-        spots = np.stack([g1, g2], axis=-1)
-        values = basket_put_exact(spec, spots)
-        if is_error:
-            values = hpm_series.price_basket_hpm(spec, config.order, spots) - values
-    else:
-        spec = config.quanto_spec()
-        grid = {"s1": s1_axis[:, None], "s2": s2_axis[None, :]}
-        values = quanto_put_exact(spec, **grid)
-        if is_error:
-            values = hpm_series.price_quanto_hpm(spec, config.order, **grid) - values
-
-    name = "error" if is_error else "price"
-    extra = {"error": "series - exact"} if is_error else {"method": "exact"}
+    """Build the data behind one of the six standard figures as one grid sweep."""
+    _, axes, columns, extra = _FIGURES[figure_id]
+    sweep = []
+    for key, name, _, start, stop, points in axes:
+        if isinstance(stop, str):
+            stop = config.contract_summary()[stop]
+        sweep.append((name, _axis(config, key, start, stop, points, f"{name} axis")))
+    methods = [name for _, method, base in columns for name in (method, base) if name]
+    prices = _prices(config, methods, _sweep_overrides(config, sweep))
     return PriceSurface(
-        axis_names=("S1", "S2"), axes=(s1_axis, s2_axis),
-        value_names=(name,), values=(values,),
+        axis_names=tuple(axis[2] for axis in axes),
+        axes=tuple(values for _, values in sweep),
+        value_names=tuple(header for header, _, _ in columns),
+        values=tuple(prices[method] if base is None else prices[method] - prices[base]
+                     for _, method, base in columns),
         metadata=_metadata(config, figure_id, extra),
     )
 
@@ -223,9 +208,13 @@ def _sweep_overrides(config, axes):
 def grid_surface(config, axis1, axis2=None):
     """Sweep the configured method over one or two scalar parameters in one array call."""
     axes = (axis1,) if axis2 is None else (axis1, axis2)
-    price, exact = _PRICERS[config.contract](config, **_sweep_overrides(config, axes))
+    compare = axis2 is None and config.method != "exact"
+    prices = _prices(config, (config.method, "exact") if compare else (config.method,),
+                     _sweep_overrides(config, axes))
+    price = prices[config.method]
     names, values = ("price",), (price,)
-    if axis2 is None and config.method != "exact":
+    if compare:
+        exact = prices["exact"]
         names, values = ("price", "exact", "error"), (price, exact, price - exact)
     return PriceSurface(
         axis_names=tuple(name for name, _ in axes), axes=tuple(v for _, v in axes),
@@ -241,7 +230,8 @@ def grid_surface(config, axis1, axis2=None):
 
 def cmd_price(args):
     config = _load_config(args, args.contract)
-    value, exact = _PRICERS[config.contract](config)
+    prices = _prices(config, (config.method, "exact"))
+    value, exact = prices[config.method], prices["exact"]
     print(f"contract:  {config.contract}")
     method = config.method
     if method == "hpm2":
@@ -259,7 +249,7 @@ def cmd_price(args):
 
 
 def cmd_figure(args):
-    config = _load_config(args, FIGURE_CONTRACT[args.figure])
+    config = _load_config(args, _FIGURES[args.figure][0])
     for key, points in (("axis1", args.points), ("axis2", args.points2)):
         if points is not None:
             config.grid[key] = {**(config.grid.get(key) or {}), "points": points}

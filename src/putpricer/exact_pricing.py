@@ -19,15 +19,13 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
-    _field,
     _libm,
     _libm_each,
     _live_time,
     _log_moneyness,
-    _payoff_everywhere,
+    _price_or_payoff,
     _require,
     _square,
-    _time_remaining,
     geometric_mean,
     reduce_basket,
     reduce_quanto,
@@ -43,86 +41,80 @@ def _clamp_tiny_negative(value, scale):
     return np.where(negative & (-1e-16 * scale < value), 0.0, value)
 
 
-def bs_put(spec: VanillaOptionSpec, spot=None, valuation_time=None):
-    """European put price, over broadcastable arrays of spot and valuation time if given.
+def bs_put(spec: VanillaOptionSpec):
+    """European put price; any field of `spec` may be an array, one contract per element.
 
-    Fields not given come from `spec`; any field of `spec` may be an array.
     Spot 0 gives the limit E e^{-r(T-t)}; at expiry the contractual payoff
     applies.
     """
-    spot = _field("spot", spot, spec.spot, allow_zero=True)
-    t, expired = _live_time(_time_remaining(spec, valuation_time))
+    t, expired = _live_time(spec.time_remaining)
     vol_sqrt_t = spec.vol * np.sqrt(t)
     d1 = (
-        _log_moneyness(spot, spec.strike)
+        _log_moneyness(spec.spot, spec.strike)
         + (spec.rate + 0.5 * spec.vol * spec.vol) * t
     ) / vol_sqrt_t
     d2 = d1 - vol_sqrt_t
     value = spec.strike * _libm_each(math.exp, -spec.rate * t) * normal_cdf(-d2) - (
-        spot * normal_cdf(-d1)
+        spec.spot * normal_cdf(-d1)
     )
     value = _clamp_tiny_negative(value, spec.strike)
     if expired is not None:
-        value = np.where(expired, np.maximum(spec.strike - spot, 0.0), value)
+        value = np.where(expired, np.maximum(spec.strike - spec.spot, 0.0), value)
     return _result(value)
 
 
-def basket_put_exact(spec: BasketSpec, spots=None):
-    """Exact geometric-basket put, over spot vectors along the last axis of `spots` if given.
+def basket_put_exact(spec: BasketSpec):
+    """Exact geometric-basket put over the spot vectors along the last axis of `spec.spots`.
 
     P = E e^{-r(T-t)} N(-d2h) - e^{-qh(T-t)} prod S_i^alpha_i N(-d1h).
-    Fields other than the spots come from `spec`, whose scalar fields and
-    covariance stack may be arrays.  A geometric basket of lognormal assets
-    is lognormal for every n, so the formula holds for any number of assets.
+    The scalar fields and the covariance stack of `spec` may be arrays.  A
+    geometric basket of lognormal assets is lognormal for every n, so the
+    formula holds for any number of assets.
     """
-    geo = geometric_mean(spec, spots)
-    t_rem, expired = _live_time(spec.time_remaining)
-    if expired is not None:
-        payoff = np.maximum(spec.strike - geo, 0.0)
-        if np.all(expired):
-            return _payoff_everywhere(payoff, expired)
-    red = reduce_basket(spec)
-    _require(red.sigma_hat > 0.0,
-             "degenerate basket volatility: sigma_hat must be positive, got {}", red.sigma_hat)
-    vol_sqrt_t = red.sigma_hat * _libm(math.sqrt, t_rem)
-    d1 = (
-        _log_moneyness(geo, spec.strike)
-        + (spec.rate - red.q_hat + 0.5 * _libm(_square, red.sigma_hat)) * t_rem
-    ) / vol_sqrt_t
-    d2 = d1 - vol_sqrt_t
-    value = spec.strike * _libm(math.exp, -spec.rate * t_rem) * normal_cdf(-d2) - (
-        _libm(math.exp, -red.q_hat * t_rem) * geo * normal_cdf(-d1)
-    )
-    value = _clamp_tiny_negative(value, spec.strike)
-    return _result(value if expired is None else np.where(expired, payoff, value))
+    geo = geometric_mean(spec)
+
+    def live(t_rem):
+        red = reduce_basket(spec)
+        _require(red.sigma_hat > 0.0,
+                 "degenerate basket volatility: sigma_hat must be positive, got {}",
+                 red.sigma_hat)
+        vol_sqrt_t = red.sigma_hat * _libm(math.sqrt, t_rem)
+        d1 = (
+            _log_moneyness(geo, spec.strike)
+            + (spec.rate - red.q_hat + 0.5 * _libm(_square, red.sigma_hat)) * t_rem
+        ) / vol_sqrt_t
+        d2 = d1 - vol_sqrt_t
+        value = spec.strike * _libm(math.exp, -spec.rate * t_rem) * normal_cdf(-d2) - (
+            _libm(math.exp, -red.q_hat * t_rem) * geo * normal_cdf(-d1)
+        )
+        return _clamp_tiny_negative(value, spec.strike)
+
+    return _price_or_payoff(spec, lambda: np.maximum(spec.strike - geo, 0.0), live)
 
 
-def quanto_put_exact(spec: QuantoSpec, s1=None, s2=None):
-    """Exact quanto put in market variables, over broadcastable arrays of s1 and s2 if given.
+def quanto_put_exact(spec: QuantoSpec):
+    """Exact quanto put in market variables; any field of `spec` may be an array.
 
     P = E S2 e^{-rh(T-t)} N(-d1) - S1 S2 e^{(qh-rh)(T-t)} N(-d2) with
     d1 = [ln(S1/E) + (qh - sh^2/2)(T-t)] / (sh sqrt(T-t)) and d2 the same
     with +sh^2/2.  Note this d1/d2 labeling is opposite to the vanilla
     convention; the finite-difference oracle adjudicates the sign choices.
-    Fields not given come from `spec`; any field of `spec` may be an array.
     """
-    s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
-    t_rem, expired = _live_time(spec.time_remaining)
-    if expired is not None:
-        payoff = s2 * np.maximum(spec.strike - s1, 0.0)
-        if np.all(expired):
-            return _payoff_everywhere(payoff, expired)
-    red = reduce_quanto(spec)
-    sigma_hat = _libm(math.sqrt, red.sigma_hat_sq)
-    vol_sqrt_t = sigma_hat * _libm(math.sqrt, t_rem)
-    log_m = _log_moneyness(s1, spec.strike)
-    d1 = (log_m + (red.q_hat - 0.5 * red.sigma_hat_sq) * t_rem) / vol_sqrt_t
-    d2 = (log_m + (red.q_hat + 0.5 * red.sigma_hat_sq) * t_rem) / vol_sqrt_t
-    value = spec.strike * s2 * _libm(math.exp, -red.r_hat * t_rem) * normal_cdf(-d1) - (
-        s1 * s2 * _libm(math.exp, (red.q_hat - red.r_hat) * t_rem) * normal_cdf(-d2)
-    )
-    value = _clamp_tiny_negative(value, spec.strike * s2)
-    return _result(value if expired is None else np.where(expired, payoff, value))
+    s1, s2 = spec.s1, spec.s2
+
+    def live(t_rem):
+        red = reduce_quanto(spec)
+        sigma_hat = _libm(math.sqrt, red.sigma_hat_sq)
+        vol_sqrt_t = sigma_hat * _libm(math.sqrt, t_rem)
+        log_m = _log_moneyness(s1, spec.strike)
+        d1 = (log_m + (red.q_hat - 0.5 * red.sigma_hat_sq) * t_rem) / vol_sqrt_t
+        d2 = (log_m + (red.q_hat + 0.5 * red.sigma_hat_sq) * t_rem) / vol_sqrt_t
+        value = spec.strike * s2 * _libm(math.exp, -red.r_hat * t_rem) * normal_cdf(-d1) - (
+            s1 * s2 * _libm(math.exp, (red.q_hat - red.r_hat) * t_rem) * normal_cdf(-d2)
+        )
+        return _clamp_tiny_negative(value, spec.strike * s2)
+
+    return _price_or_payoff(spec, lambda: s2 * np.maximum(spec.strike - s1, 0.0), live)
 
 
 def reduced_exact_u(y, tau, params: GeneralizedReducedParams):

@@ -36,15 +36,12 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
-    _field,
     _is_float,
     _libm,
-    _live_time,
     _log_moneyness,
-    _payoff_everywhere,
+    _price_or_payoff,
     _require,
     _square,
-    basket_coordinate,
     basket_reduced_params,
     geometric_mean,
     reduce_basket,
@@ -333,27 +330,24 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
 # ---------------------------------------------------------------------------
 
 
-def price_single_hpm1(spec: VanillaOptionSpec, spot=None, valuation_time=None):
-    """Naive-series put price K max(e^{-k tau} - S/K, 0).
+def price_single_hpm1(spec: VanillaOptionSpec):
+    """Naive-series put price K max(e^{-k tau} - S/K, 0); spot 0 is allowed.
 
-    Takes broadcastable arrays of spot and valuation time if given; fields
-    not given come from `spec`.  Spot 0 is allowed.
+    Any field of `spec` may be an array, one contract per element.
     """
-    x, tau, k = to_dimensionless_arrays(spec, spot, valuation_time)
+    x, tau, k = to_dimensionless_arrays(spec)
     return spec.strike * hpm1_reduced(x, tau, k)
 
 
-def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER,
-                      spot=None, valuation_time=None):
+def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER):
     """Smoothed-series put price, clamped to be nonnegative.
 
-    Takes broadcastable arrays of spot and valuation time if given; fields
-    not given come from `spec`.  At spot 0 before expiry the even-order
-    series tends to -inf and clamps to 0; the odd-order one is unbounded
-    and raises.
+    Any field of `spec` may be an array, one contract per element.  At spot
+    0 before expiry the even-order series tends to -inf and clamps to 0;
+    the odd-order one is unbounded and raises.
     """
     _check_order(order)
-    x, tau, k = to_dimensionless_arrays(spec, spot, valuation_time)
+    x, tau, k = to_dimensionless_arrays(spec)
     at_zero = np.isneginf(x) & (tau > 0.0)
     any_zero = bool(at_zero.any())
     if any_zero:
@@ -368,46 +362,40 @@ def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER,
     return _result(np.where(at_zero, 0.0, price) if any_zero else price)
 
 
-def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER, spots=None):
-    """Series price of a geometric basket put, over spot vectors along the last axis of `spots`.
+def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER):
+    """Series price of a geometric basket put over the spot vectors along the last axis.
 
     The basket reduces to the dimensionless (k1, k2) equation in the
-    coordinate xi = sum alpha_i ln(S_i/K).  Fields other than the spots
-    come from `spec`, whose scalar fields and covariance stack may be arrays.
+    coordinate xi = sum alpha_i ln(S_i/K).  The scalar fields and the
+    covariance stack of `spec` may be arrays.
     """
     _check_order(order)
-    t_rem, expired = _live_time(spec.time_remaining)
-    if expired is not None:
-        payoff = np.maximum(spec.strike - geometric_mean(spec, spots), 0.0)
-        if np.all(expired):
-            return _payoff_everywhere(payoff, expired)
-    red = reduce_basket(spec)
-    tau = 0.5 * _libm(_square, red.sigma_hat) * t_rem
-    xi = basket_coordinate(spec, spots)
-    v = hpm_reduced_sum(xi, tau, basket_reduced_params(red, spec.rate), order)
-    price = np.maximum(spec.strike * v, 0.0)
-    return _result(price if expired is None else np.where(expired, payoff, price))
+
+    def live(t_rem):
+        red = reduce_basket(spec)
+        tau = 0.5 * _libm(_square, red.sigma_hat) * t_rem
+        v = hpm_reduced_sum(red.xi, tau, basket_reduced_params(red, spec.rate), order)
+        return np.maximum(spec.strike * v, 0.0)
+
+    return _price_or_payoff(
+        spec, lambda: np.maximum(spec.strike - geometric_mean(spec), 0.0), live)
 
 
-def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER, s1=None, s2=None):
-    """Series price of a quanto put, over broadcastable arrays of s1 and s2 if given.
+def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER):
+    """Series price of a quanto put; any field of `spec` may be an array.
 
     The reduced strike E/S2 is taken at valuation time, so the pipeline is
-    deterministic; accuracy is judged against the exact formula.  Fields
-    not given come from `spec`; any field of `spec` may be an array.
+    deterministic; accuracy is judged against the exact formula.
     """
     _check_order(order)
-    s1, s2 = _field("s1", s1, spec.s1), _field("s2", s2, spec.s2)
-    t_rem, expired = _live_time(spec.time_remaining)
-    if expired is not None:
-        payoff = s2 * np.maximum(spec.strike - s1, 0.0)
-        if np.all(expired):
-            return _payoff_everywhere(payoff, expired)
-    red = reduce_quanto(spec)
-    params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
-    y = _log_moneyness(s1, spec.strike)
-    tau = 0.5 * red.sigma_hat_sq * t_rem
-    v = hpm_reduced_sum(y, tau, params, order)
-    strike_reduced = spec.strike / s2
-    price = np.maximum(s2 * s2 * strike_reduced * v, 0.0)
-    return _result(price if expired is None else np.where(expired, payoff, price))
+    s1, s2 = spec.s1, spec.s2
+
+    def live(t_rem):
+        red = reduce_quanto(spec)
+        params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
+        v = hpm_reduced_sum(_log_moneyness(s1, spec.strike),
+                            0.5 * red.sigma_hat_sq * t_rem, params, order)
+        strike_reduced = spec.strike / s2
+        return np.maximum(s2 * s2 * strike_reduced * v, 0.0)
+
+    return _price_or_payoff(spec, lambda: s2 * np.maximum(spec.strike - s1, 0.0), live)

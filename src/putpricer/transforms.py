@@ -68,8 +68,9 @@ def _check_fields(owner, spec, names):
 class VanillaOptionSpec:
     """Market and contract parameters of a single-asset European option.
 
-    Times are in years; `valuation_time` must not exceed `maturity`.  Every
-    field is a float or a broadcastable array (one contract per element).
+    Times are in years; `valuation_time` must not exceed `maturity`.  Spot 0
+    is allowed: the pricers give its limit.  Every field is a float or a
+    broadcastable array (one contract per element).
     """
 
     spot: float
@@ -82,7 +83,7 @@ class VanillaOptionSpec:
     def __post_init__(self):
         _check_fields("VanillaOptionSpec", self,
                       ("spot", "strike", "rate", "vol", "maturity", "valuation_time"))
-        _require(self.spot > 0, "spot must be positive, got {}", self.spot)
+        _require(self.spot >= 0, "spot must be nonnegative, got {}", self.spot)
         _require(self.strike > 0, "strike must be positive, got {}", self.strike)
         _require(self.vol > 0, "vol must be positive, got {}", self.vol)
         _require(self.valuation_time <= self.maturity,
@@ -279,28 +280,6 @@ def _log_moneyness(spot, strike):
     return _libm_each(_log_or_minus_inf, np.asarray(spot, dtype=float) / strike)
 
 
-def _field(name, values, default, allow_zero=False):
-    """`values` as a checked float array of positive (or nonnegative) prices; `default` if None."""
-    if values is None:
-        return np.asarray(default, dtype=float)[()]
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    if (arr < 0.0).any() if allow_zero else (arr <= 0.0).any():
-        raise ValueError(f"{name} must be {'nonnegative' if allow_zero else 'positive'}")
-    return arr
-
-
-def _time_remaining(spec, valuation_time=None):
-    """T - t for the spec's maturity over an array of valuation times (default: the spec's)."""
-    if valuation_time is None:
-        return np.float64(spec.time_remaining)
-    t_rem = spec.maturity - np.asarray(valuation_time, dtype=float)
-    if not np.isfinite(t_rem).all() or (t_rem < 0.0).any():
-        raise ValueError(f"valuation times must be finite and not exceed maturity {spec.maturity}")
-    return t_rem
-
-
 def _live_time(t_rem):
     """(t, expired): `t_rem` with every expired element (t = 0) set to 1, and the expiry mask.
 
@@ -314,25 +293,35 @@ def _live_time(t_rem):
     return np.where(expired, 1.0, t_rem), expired
 
 
-def _payoff_everywhere(payoff, expired):
-    """The payoff over the broadcast shape of the contracts, every one of which has expired."""
-    shape = np.broadcast_shapes(np.shape(payoff), np.shape(expired))
-    return _result(np.broadcast_to(payoff, shape).copy())
+def _price_or_payoff(spec, payoff, price):
+    """`price(t)` over the live contracts of `spec`, `payoff()` where they have expired.
+
+    `t` is the time remaining with every expired element set to 1; where
+    every contract has expired, `price` is not called.
+    """
+    t_rem, expired = _live_time(spec.time_remaining)
+    if expired is None:
+        return _result(price(t_rem))
+    value = payoff()
+    if np.all(expired):
+        shape = np.broadcast_shapes(np.shape(value), np.shape(expired))
+        return _result(np.broadcast_to(value, shape).copy())
+    return _result(np.where(expired, value, price(t_rem)))
 
 
-def to_dimensionless_arrays(spec: VanillaOptionSpec, spot=None, valuation_time=None):
-    """(x, tau, k) of `to_dimensionless` over broadcastable arrays of spot and valuation time.
+def to_dimensionless_arrays(spec: VanillaOptionSpec):
+    """(x, tau, k) of `to_dimensionless` over the spec's fields, arrays included.
 
-    Fields not given come from `spec`; spot 0 maps to x = -inf.  A vol whose
-    square underflows, or leaves 2r/vol^2 non-finite, raises.
+    Spot 0 maps to x = -inf.  A vol whose square underflows, or leaves
+    2r/vol^2 non-finite, raises.
     """
     vol_sq = spec.vol * spec.vol
     _require(vol_sq > 0.0, "vol {} is too small: vol^2 underflows to zero", spec.vol)
     k = 2.0 * spec.rate / vol_sq
     _require(_finite(k), "vol {} is too small: 2 rate / vol^2 is not finite", spec.vol)
     return (
-        _log_moneyness(_field("spot", spot, spec.spot, allow_zero=True), spec.strike),
-        0.5 * spec.vol * spec.vol * _time_remaining(spec, valuation_time),
+        _log_moneyness(spec.spot, spec.strike),
+        0.5 * spec.vol * spec.vol * spec.time_remaining,
         k,
     )
 
@@ -362,31 +351,24 @@ def reduce_basket(spec: BasketSpec) -> BasketReduction:
     return BasketReduction(sigma_hat=_libm(math.sqrt, sigma_hat_sq), q_hat=q_hat, xi=xi)
 
 
-def _basket_spots(spec: BasketSpec, spots):
-    spots = _field("basket spots", spots, spec.spots)
-    if spots.shape[-1:] != (spec.n,):
-        raise ValueError(f"basket spots need a last axis of {spec.n} assets, got {spots.shape}")
-    return spots
-
-
-def basket_coordinate(spec: BasketSpec, spots=None):
-    """xi = sum alpha_i ln(S_i / K) over spot vectors along the last axis (default: the spec's).
+def basket_coordinate(spec: BasketSpec):
+    """xi = sum alpha_i ln(S_i / K) over the spot vectors along the last axis of `spec.spots`.
 
     Summed asset by asset in elementwise operations, so every element has
-    the same bits whatever the shape of `spots`; a BLAS dot fuses
+    the same bits whatever the shape of the spots; a BLAS dot fuses
     multiply-adds differently for one vector than for a matrix of them.
     """
     strike = spec.strike if _is_float(spec.strike) else spec.strike[..., None]
-    logs = np.log(_basket_spots(spec, spots) / strike)
+    logs = np.log(spec.spots / strike)
     xi = logs[..., 0] * spec.weights[0]
     for i in range(1, spec.n):
         xi = xi + logs[..., i] * spec.weights[i]
     return xi
 
 
-def geometric_mean(spec: BasketSpec, spots=None):
-    """prod S_i^alpha_i over spot vectors along the last axis (default: the spec's)."""
-    return np.prod(_basket_spots(spec, spots) ** spec.weights, axis=-1)
+def geometric_mean(spec: BasketSpec):
+    """prod S_i^alpha_i over the spot vectors along the last axis of `spec.spots`."""
+    return np.prod(spec.spots ** spec.weights, axis=-1)
 
 
 def basket_reduced_params(red: BasketReduction, rate: float) -> GeneralizedReducedParams:

@@ -26,7 +26,7 @@ module and are asserted with 5% slack thereafter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -265,10 +265,9 @@ def check_degenerations(profile="default"):
 
 def _hpm2_max_errors(*grids):
     """max |hpm2 - exact| of orders 1..6 at the Section-5 contract, on each grid of spots."""
-    atm = VanillaOptionSpec(spot=40.0, **SECTION5)
-    spots = np.concatenate(grids)
-    exact = bs_put(atm, spot=spots)
-    errs = np.array([np.abs(hpm_series.price_single_hpm2(atm, order, spot=spots) - exact)
+    spec = VanillaOptionSpec(spot=np.concatenate(grids), **SECTION5)
+    exact = bs_put(spec)
+    errs = np.array([np.abs(hpm_series.price_single_hpm2(spec, order) - exact)
                      for order in range(1, 7)])
     return [part.max(axis=1).tolist()
             for part in np.split(errs, np.cumsum([g.size for g in grids[:-1]]), axis=1)]
@@ -305,13 +304,14 @@ def check_smoothness_contrast(profile="default"):
     _, tau, k = to_dimensionless_arrays(spec)
     kink = 40.0 * math.exp(-k * tau)
     h = 1e-6
-    up, at, down = hpm_series.price_single_hpm1(spec, spot=np.array([kink + h, kink, kink - h]))
+    up, at, down = hpm_series.price_single_hpm1(
+        replace(spec, spot=np.array([kink + h, kink, kink - h])))
     jump = float(abs((up - at) / h - (at - down) / h))
     results = [CheckResult("hpm1-kink-jump", jump, ">= 0.1", jump >= 0.1)]
 
     steps = np.array([1.0, 0.5, 0.25, 0.125])
     up, at, down = np.split(hpm_series.price_single_hpm2(
-        spec, spot=np.concatenate([40.0 + steps, [40.0], 40.0 - steps])), [4, 5])
+        replace(spec, spot=np.concatenate([40.0 + steps, [40.0], 40.0 - steps]))), [4, 5])
     second = ((up - 2.0 * at + down) / (steps * steps)).tolist()
     bounded = all(abs(v) < 1.0 for v in second)
     convergent = abs(second[-1] - second[-2]) < 0.25 * abs(second[-1])
@@ -323,18 +323,10 @@ def check_smoothness_contrast(profile="default"):
 
 def check_error_surfaces(profile="default"):
     grid = np.linspace(20.0, 60.0, 41)
-    qspec = _fig5_quanto()
-    s1, s2 = grid[:, None], grid[None, :]
-    worst_q = float(np.abs(
-        hpm_series.price_quanto_hpm(qspec, 6, s1, s2)
-        - quanto_put_exact(qspec, s1, s2)
-    ).max())
-    bspec = _fig3_basket()
-    spots = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-    worst_b = float(np.abs(
-        hpm_series.price_basket_hpm(bspec, 6, spots=spots)
-        - basket_put_exact(bspec, spots)
-    ).max())
+    qspec = replace(_fig5_quanto(), s1=grid[:, None], s2=grid[None, :])
+    worst_q = float(np.abs(hpm_series.price_quanto_hpm(qspec, 6) - quanto_put_exact(qspec)).max())
+    bspec = replace(_fig3_basket(), spots=np.stack(np.meshgrid(grid, grid, indexing="ij"), -1))
+    worst_b = float(np.abs(hpm_series.price_basket_hpm(bspec, 6) - basket_put_exact(bspec)).max())
     bound_q = 1.05 * EPS2_QUANTO_SURFACE
     bound_b = 1.05 * EPS3_BASKET_SURFACE
     results = [
@@ -346,7 +338,7 @@ def check_error_surfaces(profile="default"):
 
     # exact quanto value rises with the exchange-rate ratio while the
     # per-unit bracket stays positive (in-the-money region)
-    prices = quanto_put_exact(qspec, np.array([[20.0], [27.5], [35.0]]), s2)
+    prices = quanto_put_exact(replace(qspec, s1=np.array([[20.0], [27.5], [35.0]])))
     monotone = bool((np.diff(prices, axis=1) > 0).all())
     results.append(CheckResult("quanto-s2-monotonicity", float(monotone),
                                "prices strictly increase in S2 for S1 <= 35",

@@ -94,10 +94,10 @@ def test_single_broadcast_matches_per_element(data, strike, money, rate, vol, ma
     spots = strike * np.exp(np.array(money))
     base = VanillaOptionSpec(spot=strike, strike=strike, rate=rate, vol=vol,
                              maturity=maturity)
-    grid = {"spot": spots[:, None], "valuation_time": times}
-    exact = bs_put(base, **grid)
-    hpm1 = hpm_series.price_single_hpm1(base, **grid)
-    hpm2 = hpm_series.price_single_hpm2(base, order, **grid)
+    grid = replace(base, spot=spots[:, None], valuation_time=times)
+    exact = bs_put(grid)
+    hpm1 = hpm_series.price_single_hpm1(grid)
+    hpm2 = hpm_series.price_single_hpm2(grid, order)
     assert exact.shape == hpm1.shape == hpm2.shape == (spots.size, times.size)
     for i, s in enumerate(spots.tolist()):
         for j, t in enumerate(times.tolist()):
@@ -113,22 +113,23 @@ def test_single_broadcast_matches_per_element(data, strike, money, rate, vol, ma
 def test_single_array_zero_spot_limits(data, strike, rate, vol, maturity, order):
     t = data.draw(valuation_times(maturity))
     t_rem = maturity - t
-    spec = VanillaOptionSpec(spot=strike, strike=strike, rate=rate, vol=vol,
+    spec = VanillaOptionSpec(spot=np.array([0.0]), strike=strike, rate=rate, vol=vol,
                              maturity=maturity, valuation_time=t)
-    zero = np.array([0.0])
-    if t_rem == 0.0:
-        assert bs_put(spec, spot=zero)[0] == strike
-        assert hpm_series.price_single_hpm2(spec, order, spot=zero)[0] == strike
-        return
-    assert bs_put(spec, spot=zero)[0] == strike * math.exp(-rate * t_rem)
-    k, tau = 2.0 * rate / (vol * vol), 0.5 * vol * vol * t_rem
-    assert hpm_series.price_single_hpm1(spec, spot=zero)[0] == pytest.approx(
-        strike * math.exp(-k * tau), rel=1e-15)
-    if order % 2:
-        with pytest.raises(ValueError, match="even order"):
-            hpm_series.price_single_hpm2(spec, order, spot=zero)
-    else:
-        assert hpm_series.price_single_hpm2(spec, order, spot=zero)[0] == 0.0
+    # the scalar spec of the same contract gives the same limits
+    for zero, first in ((spec, lambda out: out[0]), (replace(spec, spot=0.0), float)):
+        if t_rem == 0.0:
+            assert first(bs_put(zero)) == strike
+            assert first(hpm_series.price_single_hpm2(zero, order)) == strike
+            continue
+        assert first(bs_put(zero)) == strike * math.exp(-rate * t_rem)
+        k, tau = 2.0 * rate / (vol * vol), 0.5 * vol * vol * t_rem
+        assert first(hpm_series.price_single_hpm1(zero)) == pytest.approx(
+            strike * math.exp(-k * tau), rel=1e-15)
+        if order % 2:
+            with pytest.raises(ValueError, match="even order"):
+                hpm_series.price_single_hpm2(zero, order)
+        else:
+            assert first(hpm_series.price_single_hpm2(zero, order)) == 0.0
 
 
 @given(data=st.data(), strike=price, m1=moneyness, m2=moneyness,
@@ -146,8 +147,9 @@ def test_basket_broadcast_matches_per_element(data, strike, m1, m2, weight, sig,
     base = BasketSpec(spots=[strike, strike], **fields)
     g1, g2 = np.meshgrid(strike * np.exp(m1), strike * np.exp(m2), indexing="ij")
     spots = np.stack([g1, g2], axis=-1)
-    exact = basket_put_exact(base, spots)
-    series = hpm_series.price_basket_hpm(base, order, spots)
+    grid = replace(base, spots=spots)
+    exact = basket_put_exact(grid)
+    series = hpm_series.price_basket_hpm(grid, order)
     assert exact.shape == series.shape == g1.shape
     for index in np.ndindex(g1.shape):
         spec = replace(base, spots=spots[index].tolist())
@@ -169,8 +171,9 @@ def test_quanto_broadcast_matches_per_element(data, strike, m1, s2, sigma1, sigm
     base = QuantoSpec(s1=strike, s2=1.0, **fields)
     s1_axis = strike * np.exp(np.array(m1))[:, None]
     s2_axis = np.array(s2)[None, :]
-    exact = quanto_put_exact(base, s1_axis, s2_axis)
-    series = hpm_series.price_quanto_hpm(base, order, s1_axis, s2_axis)
+    grid = replace(base, s1=s1_axis, s2=s2_axis)
+    exact = quanto_put_exact(grid)
+    series = hpm_series.price_quanto_hpm(grid, order)
     assert exact.shape == series.shape == (len(m1), len(s2))
     for i, a in enumerate(s1_axis[:, 0].tolist()):
         for j, b in enumerate(s2):
@@ -181,21 +184,23 @@ def test_quanto_broadcast_matches_per_element(data, strike, m1, s2, sigma1, sigm
 
 def test_array_forms_reject_what_specs_reject():
     spec = VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05, vol=0.3, maturity=0.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        bs_put(spec, spot=np.array([10.0, -1.0]))
-    with pytest.raises(ValueError, match="exceed maturity"):
-        bs_put(spec, valuation_time=np.array([0.0, 0.6]))
+    with pytest.raises(ValueError, match="spot must be nonnegative, got -1.0"):
+        replace(spec, spot=np.array([10.0, -1.0]))
+    with pytest.raises(ValueError, match="spot must be finite, got nan"):
+        replace(spec, spot=np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="valuation_time 0.6 exceeds maturity"):
+        replace(spec, valuation_time=np.array([0.0, 0.6]))
     basket = BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0],
                         covariance=[[0.01, 0.0], [0.0, 0.09]], rate=0.05, strike=40.0,
                         maturity=0.5)
-    with pytest.raises(ValueError, match="2 assets"):
-        basket_put_exact(basket, np.full((3, 3), 40.0))
-    with pytest.raises(ValueError, match="positive"):
-        hpm_series.price_basket_hpm(basket, spots=np.array([[40.0, 0.0]]))
+    with pytest.raises(ValueError, match="equal length"):
+        replace(basket, spots=np.full((3, 3), 40.0))
+    with pytest.raises(ValueError, match="all spots must be positive"):
+        replace(basket, spots=np.array([[40.0, 0.0]]))
     quanto = QuantoSpec(s1=40.0, s2=40.0, sigma1=0.1, sigma2=0.3, rho=1.0, r1=0.03,
                         r2=0.05, q=0.0, strike=40.0, maturity=0.5)
-    with pytest.raises(ValueError, match="finite"):
-        quanto_put_exact(quanto, s2=np.array([np.nan]))
+    with pytest.raises(ValueError, match="s2 must be finite, got nan"):
+        replace(quanto, s2=np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +443,7 @@ BASKET = BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0]
                     maturity=0.5)
 QUANTO = QuantoSpec(s1=40.0, s2=40.0, sigma1=0.1, sigma2=0.3, rho=1.0, r1=0.03,
                     r2=0.05, q=0.0, strike=40.0, maturity=0.5)
-# (pricer, spec, override giving a shape-() result, override giving shape (3,))
+# (pricer, spec, fields giving a shape-() result, fields giving shape (3,))
 PRICERS = [
     (bs_put, SINGLE, {"spot": np.array(41.0)}, {"spot": np.array([30.0, 40.0, 50.0])}),
     (hpm_series.price_single_hpm1, SINGLE, {"spot": np.array(41.0)},
@@ -462,8 +467,8 @@ def test_pricers_follow_the_return_rule(pricer, spec, point, vector, expired):
     if expired:
         spec = replace(spec, valuation_time=spec.maturity)
     assert type(pricer(spec)) is float
-    assert type(pricer(spec, **point)) is float
-    out = pricer(spec, **vector)
+    assert type(pricer(replace(spec, **point))) is float
+    out = pricer(replace(spec, **vector))
     assert type(out) is np.ndarray and out.shape == (3,)
 
 

@@ -218,6 +218,17 @@ def test_price_single_exact_regression(capsys):
     assert "3.13416497256" in out
 
 
+def test_price_single_at_spot_zero_prices_the_limit(capsys):
+    # S = 0 gives E e^{-r(T-t)} exactly; the even-order series clamps to 0 there
+    # and the odd-order one, unbounded, is refused
+    assert main(["price", "single", "--method", "exact", "--spot", "0"]) == 0
+    assert "price:     39.0123964811\n" in capsys.readouterr().out
+    assert main(["price", "single", "--method", "hpm2", "--spot", "0"]) == 0
+    assert "price:     0\n" in capsys.readouterr().out
+    assert main(["price", "single", "--method", "hpm2", "--order", "5", "--spot", "0"]) == 2
+    assert "error: the odd-order series is unbounded at spot 0" in capsys.readouterr().err
+
+
 def test_price_single_tiny_spot_hits_discount_bound(capsys):
     assert main(["price", "single", "--method", "exact", "--spot", "0.0001"]) == 0
     out = capsys.readouterr().out
@@ -246,7 +257,9 @@ def test_price_reports_deviation_for_series_methods(capsys):
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
-    assert main(["price", "single", "--spot", "-5"]) == 2
+    for spot in ("-1", "nan", "inf"):
+        assert main(["price", "single", "--spot", spot]) == 2
+        assert "spot must be" in capsys.readouterr().err
     assert main(["price", "quanto", "--rate", "0.05"]) == 2
     assert main(["price", "single", "--order", "9"]) == 2
     out = tmp_path / "f.csv"
@@ -364,6 +377,30 @@ def test_figure4_error_below_frozen_bound(tmp_path):
     assert np.abs(rows[:, 2]).max() <= 1.05 * validation.EPS3_BASKET_SURFACE
 
 
+# figure: (contract, the figure's default axes, the method behind each column)
+FIGURE_SWEEPS = {
+    1: ("single", [("spot", np.linspace(0.0, 100.0, 201))], ("exact", "hpm1", "hpm2")),
+    3: ("basket", [("spot1", np.linspace(20.0, 60.0, 41)),
+                   ("spot2", np.linspace(20.0, 60.0, 41))], ("exact",)),
+    5: ("quanto", [("s1", np.linspace(20.0, 60.0, 41)),
+                   ("s2", np.linspace(20.0, 60.0, 41))], ("exact",)),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_SWEEPS))
+def test_figure_columns_equal_grid_sweeps(figure):
+    # a figure is a grid sweep of its axes: each price column has the bits of
+    # `grid` run with that column's method
+    contract, axes, methods = FIGURE_SWEEPS[figure]
+    config = ExperimentConfig.from_sources(None, {"contract": contract})
+    surface = cli.figure_surface(figure, config)
+    assert all(np.array_equal(got, want) for got, (_, want) in zip(surface.axes, axes))
+    assert len(surface.values) == len(methods)
+    for column, method in zip(surface.values, methods):
+        config = ExperimentConfig.from_sources(None, {"contract": contract, "method": method})
+        assert np.array_equal(column, cli.grid_surface(config, *axes).values[0]), method
+
+
 def test_figure_unwritable_path_exit_3(tmp_path, capsys):
     target = tmp_path / "missing" / "fig.csv"
     assert main(["figure", "1", "--out", str(target), "--points", "5"]) == 3
@@ -402,8 +439,8 @@ def test_grid_two_axes_basket(tmp_path):
     assert header == ["spot1", "spot2", "price"]
     assert rows.shape == (12, 3)
     # each row prices the basket at both of its spots
-    spec = ExperimentConfig().basket_spec()
-    exact = [basket_put_exact(spec, row[:2]) for row in rows]
+    spec = ExperimentConfig().basket_spec(spots=rows[:, :2])
+    exact = basket_put_exact(spec)
     assert np.allclose(rows[:, 2], exact, rtol=1e-11, atol=0.0)
 
 
@@ -470,7 +507,8 @@ def per_point_surface(config, axes):
                 spots[int(name[-1]) - 1] = float(values[i])
             else:
                 overrides[name] = float(values[i])
-        price[index], exact[index] = cli._PRICERS[config.contract](config, **overrides)
+        prices = cli._prices(config, (config.method, "exact"), overrides)
+        price[index], exact[index] = prices[config.method], prices["exact"]
     names, values = ("price",), (price,)
     if len(axes) == 1 and config.method != "exact":
         names, values = ("price", "exact", "error"), (price, exact, price - exact)

@@ -317,7 +317,7 @@ def test_hpm2_smooth_across_strike():
 
 def test_hpm2_order_improves_accuracy_on_convergence_region():
     # for S >= 20 the max error falls strictly with every added term; closer
-    # to S = 0 truncation at order 6 dominates (ROADMAP item 3, mpmath table)
+    # to S = 0 truncation at order 6 dominates (see term_taylor_oracle above)
     grid = np.linspace(20.0, 100.0, 81)
     max_errs = []
     for order in range(1, 7):
