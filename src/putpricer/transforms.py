@@ -14,7 +14,7 @@ land on the same equation.  All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -304,9 +304,16 @@ def _price_or_payoff(spec, payoff, price):
         return _result(price(t_rem))
     value = payoff()
     if np.all(expired):
-        shape = np.broadcast_shapes(np.shape(value), np.shape(expired))
-        return _result(np.broadcast_to(value, shape).copy())
+        return _result(np.broadcast_to(value, _contract_shape(spec)).copy())
     return _result(np.where(expired, value, price(t_rem)))
+
+
+def _contract_shape(spec):
+    """The broadcast shape of every field of `spec`, one element per contract."""
+    shapes = [np.shape(getattr(spec, field.name)) for field in fields(spec)]
+    if isinstance(spec, BasketSpec):   # spots, weights, dividends, covariance: asset axes last
+        shapes[:4] = [spec.spots.shape[:-1], spec.covariance.shape[:-2]]
+    return np.broadcast_shapes(*shapes)
 
 
 def to_dimensionless_arrays(spec: VanillaOptionSpec):

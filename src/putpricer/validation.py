@@ -32,7 +32,7 @@ import numpy as np
 
 from . import hpm_series
 from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
-from .pde_oracle import GridSpec, _richardson_residuals, cn_solve, fd_residual
+from .pde_oracle import _richardson_at_zero, _richardson_residuals, fd_residual
 from .special_functions import erf, normal_cdf
 from .transforms import (
     BasketSpec,
@@ -157,15 +157,14 @@ def check_recursion_residuals(profile="default"):
 
 
 def check_cn_cross_validation(profile="default"):
-    # strict shrinks the tolerance 10x, which the second-order scheme buys
-    # with a 2.5x finer grid
-    bound = _tol(1e-4, profile)
-    n = 2000 if profile == "strict" else 800
-    grid = GridSpec(ny=n, n_steps=n)
+    # Richardson over an n^2 and a (2n)^2 solve leaves at most 5.0e-7 at n = 200
+    # and 5.1e-8 at n = 400, which strict's 10x tighter tolerance needs
+    bound = _tol(1e-6, profile)
+    n = 400 if profile == "strict" else 200
 
-    # eight contracts, one solve: the Section-5 put, five random at-the-money
-    # ones (a row of draws each), the figure-5 quanto and the figure-3 basket,
-    # as (k1, k2, tau, exact u at y = 0)
+    # eight contracts, one solve per grid: the Section-5 put, five random
+    # at-the-money ones (a row of draws each), the figure-5 quanto and the
+    # figure-3 basket, as (k1, k2, tau, exact u at y = 0)
     fields = ("strike", "rate", "vol", "maturity")
     lo, hi = np.array([(20.0, 0.01, 0.15, 0.25), (80.0, 0.1, 0.5, 1.5)])
     drawn = _uniform(np.random.default_rng(31).random((5, len(fields))), lo, hi)
@@ -184,7 +183,7 @@ def check_cn_cross_validation(profile="default"):
                       basket_put_exact(bspec) / bspec.strike))
 
     k1, k2, tau, exact = np.array(contracts).T
-    gaps = np.abs(cn_solve(GeneralizedReducedParams(k1, k2), tau, grid).value_at_zero() - exact)
+    gaps = np.abs(_richardson_at_zero(GeneralizedReducedParams(k1, k2), tau, n) - exact)
     return [CheckResult(f"cn-vs-exact-{name}", gap, f"<= {bound:.1e}", gap <= bound)
             for name, gap in (("single", float(gaps[0])), ("random", float(gaps[1:6].max())),
                               ("quanto", float(gaps[6])), ("basket", float(gaps[7])))]
@@ -365,11 +364,11 @@ def _normal_cdf_quadrature(v, nodes, weights):
     return 0.5 + total / math.sqrt(2.0 * math.pi)
 
 
-def _erf_maclaurin(x, terms=30):
-    parts = [
-        (-1) ** n * x ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
-        for n in range(terms)
-    ]
+_MACLAURIN_DENOMINATORS = [math.factorial(n) * (2 * n + 1) for n in range(30)]
+
+
+def _erf_maclaurin(x):
+    parts = [(-1) ** n * x ** (2 * n + 1) / d for n, d in enumerate(_MACLAURIN_DENOMINATORS)]
     return 2.0 / math.sqrt(math.pi) * math.fsum(parts)
 
 

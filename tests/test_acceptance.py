@@ -63,6 +63,16 @@ def test_criterion_03_cn_cross_validation():
     _assert_all(results, "criterion-03", budget=30.0, elapsed=elapsed)
 
 
+def test_cn_check_catches_a_closed_form_off_by_1e_5_relative(monkeypatch):
+    # the mutation moves the Section-5 put's reduced value by ~7.8e-7: strict
+    # reads 7.4e-7 against its bound of 1e-7
+    exact_put = validation.bs_put
+    monkeypatch.setattr(validation, "bs_put", lambda spec: exact_put(spec) * (1.0 + 1e-5))
+    single = validation.check_cn_cross_validation("strict")[0]
+    assert single.name == "cn-vs-exact-single"
+    assert not single.passed, single
+
+
 def test_criterion_04_quanto_internal_consistency():
     results, elapsed = _timed(validation.check_quanto_internal_consistency)
     _assert_all(results, "criterion-04", budget=1.0, elapsed=elapsed)

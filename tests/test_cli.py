@@ -479,6 +479,24 @@ def test_grid_invalid_sweep_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["exact", "hpm2"])
+@pytest.mark.parametrize("argv, payoff", [
+    (["quanto", "--s1", "30", "--axis", "sigma1", "--start", "0.1", "--stop", "0.3"],
+     40.0 * (40.0 - 30.0)),
+    (["basket", "--spots", "30,30", "--axis", "rate", "--start", "0.01", "--stop", "0.05"],
+     40.0 - 30.0),
+], ids=["quanto-sigma1", "basket-rate"])
+def test_grid_at_expiry_sweeps_a_field_the_payoff_omits(tmp_path, argv, payoff, method):
+    # every contract has expired, so each row is the payoff, which the swept field leaves out
+    out = tmp_path / "grid.csv"
+    assert main(["grid", *argv, "--points", "3", "--valuation-time", "0.5",
+                 "--method", method, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    expected = {"price": payoff, "exact": payoff, "error": 0.0}
+    assert rows.shape == (3, len(header))
+    assert (rows[:, 1:] == [expected[name] for name in header[1:]]).all()
+
+
 # a range per scalar axis; the quanto vols stay apart so that no pair is degenerate
 GRID_AXES = {
     "single": {"spot": (20, 60), "strike": (20, 60), "rate": (0.01, 0.1), "vol": (0.1, 0.5),

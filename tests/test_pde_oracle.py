@@ -11,6 +11,7 @@ from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
     _cn_stepper,
+    _richardson_at_zero,
     cn_solve,
     fd_residual,
     richardson_residual,
@@ -190,6 +191,14 @@ def test_matches_closed_form_at_origin():
     assert abs(sol.value_at_zero() - exact) < 1e-4
 
 
+def test_richardson_pair_cancels_the_second_order_error():
+    # (4 v_400 - v_200)/3 at y = 0 leaves 2.7e-7 against 6.5e-5 for 400^2 alone
+    exact = reduced_exact_u(0.0, FIG1_TAU, FIG1_PARAMS)
+    raw = abs(cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=400, n_steps=400)).value_at_zero()
+              - exact)
+    assert abs(_richardson_at_zero(FIG1_PARAMS, FIG1_TAU, 200) - exact) * 50.0 <= raw
+
+
 def test_second_order_convergence():
     errors = []
     for ny in (100, 200, 400):
@@ -220,10 +229,11 @@ def _cn_matrix(lower, diag, upper, n):
             + np.diag(np.full(n - 1, upper), 1))
 
 
-@pytest.mark.parametrize("ny", [16, 17, 97, 801, 2000])
+@pytest.mark.parametrize("ny", [16, 17, 97, 200, 400, 801, 2000])
 def test_cn_step_matches_dense_step(ny):
     # CN steps of the reduced equation on [-4, 4], all draws in one batched
-    # stepper: a fixed draw that is not diagonally dominant on the coarse
+    # stepper (200 and 400 are validate's grids; 200 fills its blocks with no
+    # padding): a fixed draw that is not diagonally dominant on the coarse
     # grids (|k1 - 1| h > 2), then random ones; each row against its own
     # dense solve
     rng = np.random.default_rng(ny)
