@@ -21,7 +21,7 @@ from .hpm_series import (
     price_single_hpm2,
     single_asset_term,
 )
-from .pde_oracle import GridSpec, PdeSolution, cn_solve, fd_residual, richardson_residual
+from .pde_oracle import GridSpec, PdeSolution, cn_solve
 from .special_functions import erf, erfc, erfcx, normal_cdf
 from .surface import PriceSurface
 from .transforms import (
@@ -57,7 +57,6 @@ __all__ = [
     "erf",
     "erfc",
     "erfcx",
-    "fd_residual",
     "hpm1_reduced",
     "hpm_reduced_sum",
     "normal_cdf",
@@ -70,7 +69,6 @@ __all__ = [
     "reduce_basket",
     "reduce_quanto",
     "reduced_exact_u",
-    "richardson_residual",
     "single_asset_term",
     "to_dimensionless",
 ]

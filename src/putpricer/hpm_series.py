@@ -18,12 +18,14 @@ The terms satisfy the recursion
 
     2 f_n'' + z f_n' - (n+1) f_n + 2(k1 - 1) f_{n-1}' - 2 k2 f_{n-2} = 0,
 
-and are exactly the w-Taylor coefficients of the exact reduced solution;
-both facts are enforced by the test suite.  Right-tail evaluation routes
-through erfcx so the structural cancellation between the Gaussian and
-erfc pieces costs absolute, not relative, accuracy.  Only P_n and Q_n
-change with n, so a series sum evaluates G and erfc/erfcx once per point
-on each side of z = 0 and every term reuses them.
+and are exactly the w-Taylor coefficients of the exact reduced solution.
+`validate` checks the first fact exactly, as two identities between the
+coefficients of P_n and Q_n in z; the test suite checks the second against
+mpmath.  Right-tail evaluation routes through erfcx so the structural
+cancellation between the Gaussian and erfc pieces costs absolute, not
+relative, accuracy.  Only P_n and Q_n change with n, so a series sum
+evaluates G and erfc/erfcx once per point on each side of z = 0 and every
+term reuses them.
 """
 
 from __future__ import annotations

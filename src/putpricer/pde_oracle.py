@@ -2,14 +2,13 @@
 
 A Crank-Nicolson finite-difference solver for
 
-    u_tau = u_yy + (k1 - 1) u_y - k2 u,   u(y, 0) = max(1 - e^y, 0),
+    u_tau = u_yy + (k1 - 1) u_y - k2 u,   u(y, 0) = max(1 - e^y, 0).
 
-plus central-difference residual probes for the series-term recursion.
-The solver is the verification side of every closed-form formula in this
-library, so it shares no code with them: its boundary values are the payoff's
-deep-tail asymptote, on grids wide enough for it.  Every step applies one map
-per contract, set up once per solve: a product of blocks of nodes and a small
-Woodbury correction, batched over all the contracts of a call.
+The solver is the verification side of every closed-form and series formula
+in this library, so it shares no code with them: its boundary values are the
+payoff's deep-tail asymptote, on grids wide enough for it.  Every step applies
+one map per contract, set up once per solve: a product of blocks of nodes and
+a small Woodbury correction, batched over all the contracts of a call.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hpm_series
 from .transforms import GeneralizedReducedParams
 
 log = logging.getLogger(__name__)
@@ -255,91 +253,3 @@ def _richardson_at_zero(params: GeneralizedReducedParams, tau_final, n: int):
     coarse, fine = (cn_solve(params, tau_final, GridSpec(ny=m, n_steps=m)).value_at_zero()
                     for m in (n, 2 * n))
     return (4.0 * fine - coarse) / 3.0
-
-
-# ---------------------------------------------------------------------------
-# finite-difference residuals of the series-term recursion
-# ---------------------------------------------------------------------------
-
-
-def _fd_residuals(orders, params, z, w, steps):
-    """Yield fd_residual of each order in the range `orders`, one row per step of `steps`.
-
-    One special-function pass yields the terms order by order on the stacked
-    stencil points [z, z + h, z - h for each h], and only orders n - 2..n are
-    kept.  f_n(z) also serves the w-derivative, which moves only the power
-    of w.  Each stencil operation of an order is one array call over the steps.
-    """
-    for n in orders:
-        if not 0 <= n < hpm_series.MAX_ORDER:
-            raise ValueError(f"term_index must lie in [0, {hpm_series.MAX_ORDER - 1}], got {n}")
-    if w <= 0 or min(steps) <= 0:
-        raise ValueError("fd_residual needs w > 0 and h > 0")
-    z = np.asarray(z, dtype=float)
-    k1, k2 = params.k1, params.k2
-    low = max(orders[0] - 2, 0)
-    points = np.stack([z] + [z + s for h in steps for s in (h, -h)])
-
-    def per_step(value):
-        # value(h) for each step, as a column against z
-        return np.array([value(h) for h in steps]).reshape((-1,) + (1,) * z.ndim)
-
-    # stencil rows of f: z, then z + h_i in row i of `plus` and z - h_i in row i of `minus`
-    centre, plus, minus = 0, slice(1, None, 2), slice(2, None, 2)
-    h_sq, two_h = per_step(lambda h: h * h), per_step(lambda h: 2.0 * h)
-    w_up, w_down = per_step(lambda h: w + h), per_step(lambda h: w - h)
-    span, f = range(low, orders[-1] + 1), {}   # f: the rows of the latest orders
-    rows = hpm_series._term_rows(hpm_series._phi_polys, span,
-                                 hpm_series._check_coordinate(points, "fd_residual"), k1, k2)
-
-    def u(m, point):
-        # u_m = f_m(z) w^m at the stencil point(s)
-        return f[m][point] * w**m
-
-    for n, row in zip(span, rows):
-        f[n] = row
-        if n < orders[0]:
-            continue
-        f_c, f_p, f_m = u(n, centre), u(n, plus), u(n, minus)
-        d2z = (f_p - 2.0 * f_c + f_m) / h_sq
-        d1z = (f_p - f_m) / two_h
-        # u_n(z, w +- h) = f_n(z) (w +- h)^n, with the powers taken per step
-        dw = (w_up * (f[n][centre] * per_step(lambda h: (w + h) ** n))
-              - w_down * (f[n][centre] * per_step(lambda h: (w - h) ** n))) / two_h
-        resid = 2.0 * d2z + z * d1z - dw
-        if n >= 1:
-            resid = resid + 2.0 * (k1 - 1.0) * w * (u(n - 1, plus) - u(n - 1, minus)) / two_h
-        if n >= 2:
-            resid = resid - 2.0 * k2 * w * w * u(n - 2, centre)
-        yield resid
-        f.pop(n - 2, None)   # order n + 1 needs only n and n - 1
-
-
-def _richardson_residuals(orders, params, z, w, h):
-    """Yield richardson_residual of each order in the range `orders`, from one term pass."""
-    for r1, r2, r4 in _fd_residuals(orders, params, z, w, (h, 0.5 * h, 0.25 * h)):
-        # a1 = (4 r2 - r1)/3 and a2 = (4 r4 - r2)/3 cancel h^2, (16 a2 - a1)/15 then h^4
-        yield _result((16.0 * ((4.0 * r4 - r2) / 3.0) - (4.0 * r2 - r1) / 3.0) / 15.0)
-
-
-def fd_residual(term_index: int, params: GeneralizedReducedParams, z, w: float,
-                h: float):
-    """Central-difference estimate of the recursion residual R_n(z, w).
-
-    R_n = 2 d^2 u_n/dz^2 + z du_n/dz - d(w u_n)/dw
-          + 2(k1-1) w du_{n-1}/dz - 2 k2 w^2 u_{n-2},
-    with u_n = f_n(z) w^n.  Vanishes analytically for every generalized
-    term; the estimate is O(h^2).  Accepts scalar or array z.
-    """
-    return _result(next(_fd_residuals(range(term_index, term_index + 1), params, z, w, (h,)))[0])
-
-
-def richardson_residual(term_index: int, params: GeneralizedReducedParams, z,
-                        w: float, h: float = 0.02):
-    """Two-stage Richardson extrapolation of fd_residual (h, h/2, h/4).
-
-    Eliminates the h^2 and h^4 error terms, leaving O(h^6) + roundoff, so an
-    analytically zero residual extrapolates to ~1e-11 or below.  The three
-    stencils share one special-function pass.
-    """
-    return next(_richardson_residuals(range(term_index, term_index + 1), params, z, w, h))

@@ -1,8 +1,9 @@
 """Acceptance checks: every formula verified against an independent route.
 
 Each check pits one implementation path against an independent route:
-finite-difference PDE solves against the closed forms, the series terms
-against the recursion and against deep-tail combinatorics, the special
+finite-difference PDE solves against the closed forms, the coefficients of
+the series terms' polynomial factors against the recursion's exact
+identities, the terms against deep-tail combinatorics, the special
 functions against series/quadrature.  A route is independent of the
 formula it checks, not of every line of the library: every quanto check
 (the CN solve, the internal-consistency route, the error surface) starts
@@ -15,9 +16,12 @@ Every oracle runs as array calls, with no loop over points: random
 contracts are drawn as blocks of `rng.random` scaled column by column,
 which reproduces the one-contract-at-a-time draws bit for bit, each family
 or series order is priced in one call over array-valued fields, and the
-series terms arrive one order at a time.  Every array stays below glibc's
-128 KB mmap threshold, since freeing a larger one raises that threshold and
-grows the heap for the rest of the process; the chunk sizes below keep it.
+series terms arrive one order at a time.  The term-family checks sample no
+points: they compare coefficient arrays of the factors P_n, Q_n, read off
+once per order at the roots of unity for every k at once.  Every array stays
+below glibc's 128 KB mmap threshold, since freeing a larger one raises that
+threshold and grows the heap for the rest of the process; the chunk sizes
+below keep it.
 
 Frozen regression constants were established once with the oracles in this
 module and are asserted with 5% slack thereafter.
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import hpm_series
 from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
-from .pde_oracle import _richardson_at_zero, _richardson_residuals, fd_residual
+from .pde_oracle import _richardson_at_zero
 from .special_functions import erf, normal_cdf
 from .transforms import (
     BasketSpec,
@@ -108,47 +112,83 @@ def _uniform(u, lo, hi):
     return lo + (hi - lo) * u
 
 
+# the factors reach degree MAX_ORDER (Q_5: z^6) and the identities multiply by z
+# at most once, so MAX_ORDER + 2 coefficients hold every polynomial formed; a
+# degree of _N_COEFS or more would alias onto low ones unseen, hence no parameter
+_N_COEFS = hpm_series.MAX_ORDER + 2
+# d/dz and multiplication by z, as maps c -> c @ map of coefficient rows
+_DERIV = np.diag(np.arange(1.0, _N_COEFS), -1)
+_TIMES_Z = np.eye(_N_COEFS, k=1)
+
+
+def _coefficients(polys, *coefs):
+    """Coefficients in z of P_n and Q_n of one family, for every order n < MAX_ORDER.
+
+    Returns (p, q), each shaped (MAX_ORDER,) + the k values' broadcast shape
+    + (_N_COEFS,), the coefficient of z^j at j on the last axis.  `polys` is
+    evaluated once per order at the N-th roots of unity, with the k values as
+    arrays; the discrete Fourier transform of those values, divided by N, is
+    the coefficients.
+    """
+    roots = np.exp(2j * np.pi * np.arange(_N_COEFS) / _N_COEFS)
+    coefs = [np.asarray(c, dtype=float)[..., None] for c in coefs]
+    shape = np.broadcast_shapes(roots.shape, *(c.shape for c in coefs))
+    values = np.empty((2, hpm_series.MAX_ORDER) + shape, dtype=complex)
+    for n in range(hpm_series.MAX_ORDER):
+        values[0, n], values[1, n] = polys(n, roots, *coefs)
+    return tuple(np.fft.fft(values).real / _N_COEFS)
+
+
+def _largest(*polys):
+    """The largest coefficient magnitude of each polynomial, over all of `polys`."""
+    return np.max([np.abs(c).max(axis=-1) for c in polys], axis=0)
+
+
+def _recursion_residual(p, q, k1, k2):
+    """Worst relative residual of the recursion's two coefficient identities.
+
+    f_n = P_n G + Q_n (erf(z/2) - 1) solves the recursion for every z exactly
+    when its G and erf parts vanish, with A_n = P_n' - (z/2) P_n + Q_n and
+    f_{-1} = f_{-2} = 0:
+
+        2 A_n' + 2 Q_n' - (n+1) P_n + 2(k1-1) A_{n-1} - 2 k2 P_{n-2} = 0,
+        2 Q_n'' + z Q_n' - (n+1) Q_n + 2(k1-1) Q_{n-1}' - 2 k2 Q_{n-2} = 0.
+
+    Each residual is taken relative to the largest coefficient of orders
+    n-2..n, for every order and k pair at once.
+    """
+    k1, k2 = (np.asarray(k, dtype=float)[..., None] for k in (k1, k2))
+    p, q = (np.concatenate([np.zeros((2,) + c.shape[1:]), c]) for c in (p, q))
+    dq = q @ _DERIV
+    a = p @ _DERIV - 0.5 * (p @ _TIMES_Z) + q
+    order = np.arange(1.0, hpm_series.MAX_ORDER + 1).reshape((-1,) + (1,) * (p.ndim - 1))
+    gauss = (2.0 * (a[2:] @ _DERIV) + 2.0 * dq[2:] - order * p[2:]
+             + 2.0 * (k1 - 1.0) * a[1:-1] - 2.0 * k2 * p[:-2])
+    erf_part = (2.0 * (dq[2:] @ _DERIV) + dq[2:] @ _TIMES_Z - order * q[2:]
+                + 2.0 * (k1 - 1.0) * dq[1:-1] - 2.0 * k2 * q[:-2])
+    size = _largest(p, q)
+    scale = np.maximum(np.maximum(size[2:], size[1:-1]), size[:-2])
+    return float((_largest(gauss, erf_part) / scale).max())
+
+
 def check_specialization_identity(profile="default"):
-    rng = np.random.default_rng(2024)
-    xi = rng.uniform(-10.0, 10.0, 1000)
-    ks = rng.uniform(0.1, 3.0, 1000)[:20, None]   # k on the first axis, xi on the second
-    orders = range(hpm_series.MAX_ORDER)
-    worst = 0.0
-    # five k per call, both families compared one order at a time: 40 KB rows
-    for k in np.split(ks, 4):
-        for phi, single in zip(hpm_series._term_rows(hpm_series._phi_polys, orders, xi, k, k),
-                               hpm_series._term_rows(hpm_series._single_polys, orders, xi, k)):
-            worst = max(worst, float(np.abs(phi - single).max()))
-    bound = _tol(1e-12, profile)
+    k = np.random.default_rng(2024).uniform(0.1, 3.0, 20)
+    phi = _coefficients(hpm_series._phi_polys, k, k)
+    single = _coefficients(hpm_series._single_polys, k)
+    # per order and k, relative to the largest coefficient of either family
+    worst = float((_largest(*(a - b for a, b in zip(phi, single)))
+                   / _largest(*phi, *single)).max())
+    bound = _tol(1e-13, profile, floor=2e-14)   # 2.6e-15 measured, under either exp dispatch
     return [CheckResult("specialization-identity", worst, f"<= {bound:.1e}",
                         worst <= bound)]
 
 
 def check_recursion_residuals(profile="default"):
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    # per pair: k1, k2, then 1,000 z, then w
-    for row in rng.random((10, 1003)):
-        k1, k2 = _uniform(row[:2], -2.0, 2.0)
-        params = GeneralizedReducedParams(float(k1), float(k2))
-        z = _uniform(row[2:1002], -3.0, 3.0)
-        w = float(_uniform(row[1002], 0.05, 0.8))
-        for r in _richardson_residuals(range(hpm_series.MAX_ORDER), params, z, w, 0.02):
-            worst = max(worst, float(np.abs(r).max()))
-    bound = _tol(1e-8, profile)
-    results = [CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",
-                           worst <= bound)]
-
-    params = GeneralizedReducedParams(0.6, 1.4)
-    z = rng.uniform(-3.0, 3.0, 500)
-    r1 = fd_residual(3, params, z, 0.3, 0.02)
-    r2 = fd_residual(3, params, z, 0.3, 0.01)
-    order = math.log2(
-        math.sqrt(float(np.mean(r1**2))) / math.sqrt(float(np.mean(r2**2)))
-    )
-    results.append(CheckResult("residual-estimator-order", order, "in [1.8, 2.2]",
-                               1.8 <= order <= 2.2))
-    return results
+    k1, k2 = _uniform(np.random.default_rng(7).random((10, 2)), -2.0, 2.0).T
+    worst = _recursion_residual(*_coefficients(hpm_series._phi_polys, k1, k2), k1, k2)
+    bound = _tol(1e-13, profile, floor=2e-14)   # 5.5e-15 measured, under either exp dispatch
+    return [CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",
+                        worst <= bound)]
 
 
 # ---------------------------------------------------------------------------

@@ -184,53 +184,50 @@ def test_full_validate_command_exits_zero(capsys):
 # the batched random-contract checks against their one-contract loops
 # ---------------------------------------------------------------------------
 # The references below are the loops these checks ran before they became
-# array calls: one scalar spec, one phi_term call per stencil point, one
-# rng.uniform call per field.  The batched checks must return equal results.
+# array calls: one scalar spec, one rng.uniform call per field, and for the
+# term families one k or (k1, k2) pair at a time on 1-D coefficient rows.
+# The batched checks must return equal results.
 
 
-def _loop_fd_residual(n, params, z, w, h):
-    def u(m, zz, ww):
-        return hpm_series.phi_term(m, zz, params) * ww**m
+def _loop_recursion_residual(k1, k2):
+    # one (k1, k2) pair, each order's two identities on 1-D coefficient rows
+    poly, size = np.polynomial.polynomial, validation._N_COEFS
 
-    f_c = u(n, z, w)
-    f_p = u(n, z + h, w)
-    f_m = u(n, z - h, w)
-    d2z = (f_p - 2.0 * f_c + f_m) / (h * h)
-    d1z = (f_p - f_m) / (2.0 * h)
-    dw = ((w + h) * u(n, z, w + h) - (w - h) * u(n, z, w - h)) / (2.0 * h)
-    resid = 2.0 * d2z + z * d1z - dw
-    if n >= 1:
-        g_p = u(n - 1, z + h, w)
-        g_m = u(n - 1, z - h, w)
-        resid = resid + 2.0 * (params.k1 - 1.0) * w * (g_p - g_m) / (2.0 * h)
-    if n >= 2:
-        resid = resid - 2.0 * params.k2 * w * w * u(n - 2, z, w)
-    return resid
+    def d(c):   # d/dz, kept at `size` coefficients
+        return np.append(poly.polyder(c), 0.0)
 
+    def times_z(c):   # z c, cut to `size` coefficients as the batched map cuts it
+        return np.concatenate([[0.0], c[:-1]])
 
-def _loop_richardson_residual(n, params, z, w, h):
-    r1 = _loop_fd_residual(n, params, z, w, h)
-    r2 = _loop_fd_residual(n, params, z, w, 0.5 * h)
-    r4 = _loop_fd_residual(n, params, z, w, 0.25 * h)
-    a1 = (4.0 * r2 - r1) / 3.0
-    a2 = (4.0 * r4 - r2) / 3.0
-    return (16.0 * a2 - a1) / 15.0
+    p, q = validation._coefficients(hpm_series._phi_polys, k1, k2)
+    zero = np.zeros(size)
+    ps, qs = [zero, zero, *p], [zero, zero, *q]   # f_{-2} = f_{-1} = 0
+    a = [d(pn) - 0.5 * times_z(pn) + qn for pn, qn in zip(ps, qs)]
+    worst = 0.0
+    for n in range(hpm_series.MAX_ORDER):
+        i = n + 2
+        gauss = (2.0 * d(a[i]) + 2.0 * d(qs[i]) - (n + 1.0) * ps[i]
+                 + 2.0 * (k1 - 1.0) * a[i - 1] - 2.0 * k2 * ps[i - 2])
+        erf_part = (2.0 * d(d(qs[i])) + times_z(d(qs[i])) - (n + 1.0) * qs[i]
+                    + 2.0 * (k1 - 1.0) * d(qs[i - 1]) - 2.0 * k2 * qs[i - 2])
+        scale = max(float(np.abs(c).max()) for c in ps[i - 2:i + 1] + qs[i - 2:i + 1])
+        worst = max(worst, float(np.abs(gauss).max()) / scale,
+                    float(np.abs(erf_part).max()) / scale)
+    return worst
 
 
 def _loop_specialization_identity(profile):
     rng = np.random.default_rng(2024)
-    xi = rng.uniform(-10.0, 10.0, 1000)
-    ks = rng.uniform(0.1, 3.0, 1000)
     worst = 0.0
-    for n in range(hpm_series.MAX_ORDER):
-        for k in ks[:20]:
-            params = GeneralizedReducedParams(float(k), float(k))
-            diff = np.abs(
-                hpm_series.phi_term(n, xi, params)
-                - hpm_series.single_asset_term(n, xi, float(k))
-            )
-            worst = max(worst, float(diff.max()))
-    bound = validation._tol(1e-12, profile)
+    for _ in range(20):
+        k = float(rng.uniform(0.1, 3.0))
+        phi = validation._coefficients(hpm_series._phi_polys, k, k)
+        single = validation._coefficients(hpm_series._single_polys, k)
+        for n in range(hpm_series.MAX_ORDER):
+            diff = max(float(np.abs(a[n] - b[n]).max()) for a, b in zip(phi, single))
+            scale = max(float(np.abs(c[n]).max()) for c in (*phi, *single))
+            worst = max(worst, diff / scale)
+    bound = validation._tol(1e-13, profile, floor=2e-14)
     return [validation.CheckResult("specialization-identity", worst, f"<= {bound:.1e}",
                                    worst <= bound)]
 
@@ -240,26 +237,10 @@ def _loop_recursion_residuals(profile):
     worst = 0.0
     for _ in range(10):
         k1, k2 = rng.uniform(-2.0, 2.0, 2)
-        params = GeneralizedReducedParams(float(k1), float(k2))
-        z = rng.uniform(-3.0, 3.0, 1000)
-        w = float(rng.uniform(0.05, 0.8))
-        for n in range(hpm_series.MAX_ORDER):
-            r = _loop_richardson_residual(n, params, z, w, 0.02)
-            worst = max(worst, float(np.abs(r).max()))
-    bound = validation._tol(1e-8, profile)
-    results = [validation.CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",
-                                      worst <= bound)]
-
-    params = GeneralizedReducedParams(0.6, 1.4)
-    z = rng.uniform(-3.0, 3.0, 500)
-    r1 = _loop_fd_residual(3, params, z, 0.3, 0.02)
-    r2 = _loop_fd_residual(3, params, z, 0.3, 0.01)
-    order = math.log2(
-        math.sqrt(float(np.mean(r1**2))) / math.sqrt(float(np.mean(r2**2)))
-    )
-    results.append(validation.CheckResult("residual-estimator-order", order, "in [1.8, 2.2]",
-                                          1.8 <= order <= 2.2))
-    return results
+        worst = max(worst, _loop_recursion_residual(float(k1), float(k2)))
+    bound = validation._tol(1e-13, profile, floor=2e-14)
+    return [validation.CheckResult("recursion-residuals", worst, f"<= {bound:.1e}",
+                                   worst <= bound)]
 
 
 def _loop_quanto_internal_consistency(profile):
@@ -428,15 +409,75 @@ def test_block_draws_equal_per_call_draws():
                              for j, (lo, hi) in enumerate(bounds)])
     assert per_call.tobytes() == block.tobytes()
 
-    # recursion residuals (seed 7): k1, k2, 1,000 z and w per pair, then the tail
+    # recursion residuals (seed 7): one (k1, k2) pair per row
     rng = np.random.default_rng(7)
-    per_call = [np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-3.0, 3.0, 1000),
-                                [rng.uniform(0.05, 0.8)]]) for _ in range(10)]
-    tail = rng.uniform(-3.0, 3.0, 500)
-    rng = np.random.default_rng(7)
-    rows = rng.random((10, 1003))
-    block = [np.concatenate([validation._uniform(row[:2], -2.0, 2.0),
-                             validation._uniform(row[2:1002], -3.0, 3.0),
-                             [validation._uniform(row[1002], 0.05, 0.8)]]) for row in rows]
-    assert np.array(per_call).tobytes() == np.array(block).tobytes()
-    assert tail.tobytes() == rng.uniform(-3.0, 3.0, 500).tobytes()
+    per_call = [rng.uniform(-2.0, 2.0, 2) for _ in range(10)]
+    block = validation._uniform(np.random.default_rng(7).random((10, 2)), -2.0, 2.0)
+    assert np.array(per_call).tobytes() == block.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the coefficient route of the term-family checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, coefs", [
+    ("_phi_polys", (np.array([-1.7, 0.4, 2.9]), np.array([0.8, -2.2, 1.1]))),
+    ("_single_polys", (np.array([0.1, 1.3, 3.0]),)),
+], ids=["phi", "single"])
+def test_coefficients_reproduce_the_factors_at_real_points(family, coefs):
+    # the transform over the roots of unity recovers each factor whole: no
+    # degree aliases, and the coefficients evaluate back to the factors
+    polys, poly = getattr(hpm_series, family), np.polynomial.polynomial
+    z = np.linspace(-4.0, 4.0, 9)[:, None]
+    powers = poly.polyval(np.abs(z), np.ones(validation._N_COEFS))   # sum_j |z|^j
+    p, q = validation._coefficients(polys, *coefs)
+    for n in range(hpm_series.MAX_ORDER):
+        for direct, c in zip(polys(n, z, *coefs), (p[n], q[n])):
+            gap = np.abs(poly.polyval(z, c.T, tensor=False) - direct)
+            assert (gap <= 1e-14 * np.abs(c).max(axis=-1) * powers).all(), (family, n)
+
+
+def test_recursion_identities_hold_on_wide_pairs():
+    # the hand-typed table solves the recursion for any (k1, k2), not only the
+    # check's ten pairs in [-2, 2]^2
+    k1, k2 = np.random.default_rng(22).uniform(-10.0, 10.0, (2, 1000))
+    p, q = validation._coefficients(hpm_series._phi_polys, k1, k2)
+    assert validation._recursion_residual(p, q, k1, k2) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# coefficient errors the term-family checks must catch
+# ---------------------------------------------------------------------------
+
+
+def _shift_p(monkeypatch, name, order, shift):
+    """Add shift(z, *k) to P_order of the family `hpm_series.<name>`."""
+    original = getattr(hpm_series, name)
+
+    def mutated(n, z, *coefs):
+        p, q = original(n, z, *coefs)
+        return (p + shift(z, *coefs), q) if n == order else (p, q)
+
+    monkeypatch.setattr(hpm_series, name, mutated)
+
+
+def test_recursion_check_catches_a_1e_9_constant_error(monkeypatch):
+    # 1e-9 on P_2's constant reads 4e-9 of the largest coefficient involved
+    _shift_p(monkeypatch, "_phi_polys", 2, lambda z, k1, k2: 1e-9)
+    [result] = validation.check_recursion_residuals("default")
+    assert not result.passed and result.measured > 1e-9
+
+
+def test_recursion_check_catches_the_p4_k2_coefficient(monkeypatch):
+    # -150 k2 in place of the -160 k2 z^2 that P_4's comment explains
+    _shift_p(monkeypatch, "_phi_polys", 4, lambda z, k1, k2: 10.0 * k2 * z * z / 960.0)
+    [result] = validation.check_recursion_residuals("default")
+    assert not result.passed and result.measured > 0.1
+
+
+def test_specialization_check_catches_a_single_asset_coefficient(monkeypatch):
+    # -3.000000001 k in place of -3 k in the z coefficient of the single-asset P_3
+    _shift_p(monkeypatch, "_single_polys", 3, lambda z, k: -2e-9 * z * k / 48.0)
+    [result] = validation.check_specialization_identity("default")
+    assert not result.passed

@@ -18,7 +18,6 @@ from putpricer import hpm_series
 from putpricer.cli import main
 from putpricer.exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
 from putpricer.hpm_series import hpm1_reduced, hpm_reduced_sum, phi_term, single_asset_term
-from putpricer.pde_oracle import fd_residual
 from putpricer.special_functions import SQRT_PI, SQRT_TWO, erfc, erfcx, normal_cdf
 from putpricer.transforms import (
     BasketSpec,
@@ -482,7 +481,6 @@ EVALUATORS = {
     "hpm1_reduced": lambda x: hpm1_reduced(x, 0.2, 0.7),
     "phi_term": lambda x: phi_term(3, x, PARAMS),
     "single_asset_term": lambda x: single_asset_term(3, x, 0.7),
-    "fd_residual": lambda x: fd_residual(3, PARAMS, x, 0.3, 0.01),
 }
 
 

@@ -585,9 +585,9 @@ def test_validate_exit_code_reflects_failures(monkeypatch, capsys):
 
 def test_corrupted_term_constant_fails_residual_check(monkeypatch):
     # mutation probe: a wrong constant in the second series term must be
-    # caught by the recursion-residual check, by name; the residual stencil
-    # evaluates the terms through the polynomial factors, so the probe
-    # corrupts the constant of P_2 there
+    # caught by the recursion-residual check, by name; the check reads the
+    # coefficients of the polynomial factors, so the probe corrupts the
+    # constant of P_2 there
     original = hpm_series._phi_polys
 
     def corrupted(n, z, k1, k2):

@@ -6,15 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from putpricer import hpm_series, pde_oracle
+from putpricer import pde_oracle
 from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
     _cn_stepper,
     _richardson_at_zero,
     cn_solve,
-    fd_residual,
-    richardson_residual,
 )
 from putpricer.transforms import GeneralizedReducedParams
 
@@ -113,12 +111,14 @@ def test_reaction_dominated_contract_solves_with_enough_steps():
 
 
 def test_oracle_imports_nothing_from_the_closed_forms():
-    # the oracle checks the closed forms, so it must not evaluate any part of them
+    # the oracle checks the closed forms and the series, so it must not evaluate
+    # any part of them
     for node in ast.walk(ast.parse(Path(pde_oracle.__file__).read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
             parts = {part for name in names for part in name.split(".")}
-            assert not parts & {"exact_pricing", "special_functions"}, ast.unparse(node)
+            assert not parts & {"exact_pricing", "special_functions", "hpm_series"}, \
+                ast.unparse(node)
 
 
 @pytest.mark.parametrize("tau_final", [np.array([0.1, 0.0]), np.array([0.1, -0.2]),
@@ -323,101 +323,3 @@ def test_batched_solve_matches_each_contract_alone():
         assert np.abs(sol.final[i, j] - alone.final).max() <= 1e-14 * scale
         assert abs(values[i, j] - alone.value_at_zero()) <= 1e-14 * abs(alone.value_at_zero())
         assert abs(least[i, j] - alone.min_value) <= 1e-14 * scale
-
-
-# ---------------------------------------------------------------------------
-# recursion residuals
-# ---------------------------------------------------------------------------
-
-
-def test_r0_small_at_modest_step():
-    r = fd_residual(0, FIG1_PARAMS, 0.3, 0.2, 1e-4)
-    assert abs(r) < 1e-7
-
-
-def test_extrapolated_residual_first_order_term():
-    rng = np.random.default_rng(21)
-    params = GeneralizedReducedParams(0.95, 0.95)
-    z = rng.uniform(-3.0, 3.0, 100)
-    r = richardson_residual(1, params, z, 0.3, 0.02)
-    assert np.abs(r).max() < 1e-8
-
-
-def test_extrapolated_residual_all_orders_random_pairs():
-    rng = np.random.default_rng(22)
-    for _ in range(3):
-        k1, k2 = rng.uniform(-2.0, 2.0, 2)
-        params = GeneralizedReducedParams(float(k1), float(k2))
-        z = rng.uniform(-3.0, 3.0, 200)
-        w = float(rng.uniform(0.05, 0.8))
-        for n in range(6):
-            assert np.abs(richardson_residual(n, params, z, w)).max() < 1e-8
-
-
-def test_estimator_is_second_order():
-    rng = np.random.default_rng(23)
-    params = GeneralizedReducedParams(0.6, 1.4)
-    z = rng.uniform(-3.0, 3.0, 300)
-    r1 = fd_residual(3, params, z, 0.3, 0.02)
-    r2 = fd_residual(3, params, z, 0.3, 0.01)
-    order = math.log2(
-        math.sqrt(float((r1**2).mean())) / math.sqrt(float((r2**2).mean()))
-    )
-    assert 1.8 <= order <= 2.2
-
-
-def test_rows_fed_residuals_equal_one_call_per_order():
-    # the stencil fed one order's terms at a time returns what fd_residual
-    # returns for each order and step alone, on both sides of z = 0
-    rng = np.random.default_rng(25)
-    params = GeneralizedReducedParams(0.7, -1.3)
-    z = rng.uniform(-3.0, 3.0, (4, 50))
-    w, steps = 0.4, (0.02, 0.01, 0.005)
-    rows = list(pde_oracle._fd_residuals(range(hpm_series.MAX_ORDER), params, z, w, steps))
-    assert np.stack(rows).shape == (hpm_series.MAX_ORDER, len(steps), 4, 50)
-    for n, row in enumerate(rows):
-        for i, h in enumerate(steps):
-            assert np.array_equal(row[i], fd_residual(n, params, z, w, h))
-    # a range that starts above 0 yields only its own orders
-    later = list(pde_oracle._fd_residuals(range(3, hpm_series.MAX_ORDER), params, z, w, steps))
-    assert len(later) == hpm_series.MAX_ORDER - 3
-    assert all(np.array_equal(row, rows[n]) for n, row in zip(range(3, hpm_series.MAX_ORDER), later))
-    extrapolated = list(pde_oracle._richardson_residuals(range(hpm_series.MAX_ORDER), params, z, w,
-                                                         0.02))
-    assert len(extrapolated) == hpm_series.MAX_ORDER
-    for n, r in enumerate(extrapolated):
-        assert np.array_equal(r, richardson_residual(n, params, z, w, 0.02))
-
-
-def test_residual_detects_corrupted_term(monkeypatch):
-    # mutation check: breaking one constant in the second term must surface
-    # as a nonzero recursion residual; the stencil evaluates the terms
-    # through the polynomial factors, so the constant of P_2 is broken there
-    original = hpm_series._phi_polys
-
-    def corrupted(n, z, k1, k2):
-        p, q = original(n, z, k1, k2)
-        if n == 2:
-            return p + 1e-4, q
-        return p, q
-
-    monkeypatch.setattr(hpm_series, "_phi_polys", corrupted)
-    r = richardson_residual(2, GeneralizedReducedParams(0.95, 0.95), 0.4, 0.3)
-    assert abs(r) > 1e-6
-
-
-def test_residual_validation():
-    with pytest.raises(ValueError, match="term_index"):
-        fd_residual(6, FIG1_PARAMS, 0.0, 0.3, 0.01)
-    with pytest.raises(ValueError, match="w > 0"):
-        fd_residual(1, FIG1_PARAMS, 0.0, 0.0, 0.01)
-
-
-def test_residual_term_bound_message_follows_max_order(monkeypatch):
-    bound = hpm_series.MAX_ORDER - 1
-    with pytest.raises(ValueError, match=rf"\[0, {bound}\], got {bound + 1}$"):
-        fd_residual(bound + 1, FIG1_PARAMS, 0.0, 0.3, 0.01)
-    # the bound is read from MAX_ORDER, not restated
-    monkeypatch.setattr(hpm_series, "MAX_ORDER", 4)
-    with pytest.raises(ValueError, match=r"\[0, 3\], got 4$"):
-        fd_residual(4, FIG1_PARAMS, 0.0, 0.3, 0.01)
