@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from putpricer import pde_oracle
+from putpricer import hpm_series, pde_oracle
 from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
@@ -323,3 +323,78 @@ def test_batched_solve_matches_each_contract_alone():
         assert np.abs(sol.final[i, j] - alone.final).max() <= 1e-14 * scale
         assert abs(values[i, j] - alone.value_at_zero()) <= 1e-14 * abs(alone.value_at_zero())
         assert abs(least[i, j] - alone.min_value) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# recursion residuals of the evaluated terms
+# ---------------------------------------------------------------------------
+# validate checks the recursion on the coefficients of P_n, Q_n alone.  These
+# tests put phi_term's whole evaluation path (the G and erfc parts and their
+# split at z = 0) into the PDE recursion through a central-difference stencil
+# kept here, so an error on that path that leaves the factors intact shows.
+
+
+def _fd_residual(n, params, z, w, h):
+    """Central-difference R_n(z, w) of u_n = f_n(z) w^n; O(h^2) for exact terms.
+
+    R_n = 2 d^2 u_n/dz^2 + z du_n/dz - d(w u_n)/dw
+          + 2(k1-1) w du_{n-1}/dz - 2 k2 w^2 u_{n-2}.
+    """
+    def u(m, zz, ww):
+        return hpm_series.phi_term(m, zz, params) * ww**m
+
+    d2z = (u(n, z + h, w) - 2.0 * u(n, z, w) + u(n, z - h, w)) / (h * h)
+    d1z = (u(n, z + h, w) - u(n, z - h, w)) / (2.0 * h)
+    dw = ((w + h) * u(n, z, w + h) - (w - h) * u(n, z, w - h)) / (2.0 * h)
+    resid = 2.0 * d2z + z * d1z - dw
+    if n >= 1:
+        resid = resid + (params.k1 - 1.0) * w * (u(n - 1, z + h, w) - u(n - 1, z - h, w)) / h
+    if n >= 2:
+        resid = resid - 2.0 * params.k2 * w * w * u(n - 2, z, w)
+    return resid
+
+
+def _richardson_residual(n, params, z, w, h=0.02):
+    """_fd_residual at h, h/2, h/4 with its h^2 and h^4 errors cancelled."""
+    r1, r2, r4 = (_fd_residual(n, params, z, w, s) for s in (h, 0.5 * h, 0.25 * h))
+    return (16.0 * ((4.0 * r4 - r2) / 3.0) - (4.0 * r2 - r1) / 3.0) / 15.0
+
+
+def test_r0_small_at_modest_step():
+    r = _fd_residual(0, FIG1_PARAMS, 0.3, 0.2, 1e-4)
+    assert abs(r) < 1e-7
+
+
+def test_extrapolated_residual_first_order_term():
+    rng = np.random.default_rng(21)
+    params = GeneralizedReducedParams(0.95, 0.95)
+    z = rng.uniform(-3.0, 3.0, 100)
+    r = _richardson_residual(1, params, z, 0.3, 0.02)
+    assert np.abs(r).max() < 1e-8
+
+
+def test_extrapolated_residual_all_orders_random_pairs():
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        k1, k2 = rng.uniform(-2.0, 2.0, 2)
+        params = GeneralizedReducedParams(float(k1), float(k2))
+        z = rng.uniform(-3.0, 3.0, 200)
+        w = float(rng.uniform(0.05, 0.8))
+        for n in range(hpm_series.MAX_ORDER):
+            assert np.abs(_richardson_residual(n, params, z, w)).max() < 1e-8
+
+
+def test_residual_detects_corrupted_term(monkeypatch):
+    # mutation check: breaking one constant in the second term must surface
+    # as a nonzero recursion residual of the evaluated term
+    original = hpm_series._phi_polys
+
+    def corrupted(n, z, k1, k2):
+        p, q = original(n, z, k1, k2)
+        if n == 2:
+            return p + 1e-4, q
+        return p, q
+
+    monkeypatch.setattr(hpm_series, "_phi_polys", corrupted)
+    r = _richardson_residual(2, GeneralizedReducedParams(0.95, 0.95), 0.4, 0.3)
+    assert abs(r) > 1e-6
