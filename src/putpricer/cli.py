@@ -69,22 +69,22 @@ def _load_config(args, contract):
 # ---------------------------------------------------------------------------
 
 
-# contract: (config spec builder, {method: pricer(spec, order)}); each pricer
-# looks its name up when called, so a wrapper installed on that name (a tracer) runs
+# contract: {method: pricer(spec, order)}; each pricer looks its name up when
+# called, so a wrapper installed on that name (a tracer) runs
 _PRICING = {
-    "single": ("vanilla_spec", {
+    "single": {
         "exact": lambda spec, order: bs_put(spec),
         "hpm1": lambda spec, order: hpm_series.price_single_hpm1(spec),
         "hpm2": lambda spec, order: hpm_series.price_single_hpm2(spec, order),
-    }),
-    "basket": ("basket_spec", {
+    },
+    "basket": {
         "exact": lambda spec, order: basket_put_exact(spec),
         "hpm2": lambda spec, order: hpm_series.price_basket_hpm(spec, order),
-    }),
-    "quanto": ("quanto_spec", {
+    },
+    "quanto": {
         "exact": lambda spec, order: quanto_put_exact(spec),
         "hpm2": lambda spec, order: hpm_series.price_quanto_hpm(spec, order),
-    }),
+    },
 }
 
 
@@ -93,8 +93,7 @@ def _prices(config, methods, overrides=None):
 
     Array-valued overrides price a whole sweep in one call per method.
     """
-    builder, pricers = _PRICING[config.contract]
-    spec = getattr(config, builder)(**(overrides or {}))
+    spec, pricers = config.spec(**(overrides or {})), _PRICING[config.contract]
     return {method: pricers[method](spec, config.order) for method in dict.fromkeys(methods)}
 
 
@@ -113,23 +112,32 @@ def _axis(config, key, default_start, default_stop, default_points, name):
 # ---------------------------------------------------------------------------
 
 
-def _metadata(config, figure_id=None, extra=None):
+def _metadata(config, extra):
     meta = {
         "generator": f"putpricer {__version__}",
         "contract": config.contract,
         "order": str(config.order),
     }
-    if figure_id is not None:
-        meta["figure"] = str(figure_id)
     for key, value in sorted(config.contract_summary().items()):
         meta[f"param-{key}"] = repr(value)
-    if config.contract in ("basket", "quanto") and figure_id in (3, 4, 5, 6):
-        meta["defaults-note"] = (
-            "strike, maturity and any zero cross-covariance/dividend entries "
-            "are library defaults, not externally prescribed"
-        )
-    meta.update(extra or {})
+    meta.update(extra)
     return meta
+
+
+def _surface(config, headers, sweep, columns, extra):
+    """The one sweep builder: `columns` priced over the `sweep` axes, one call per method.
+
+    A column is (header, method, method subtracted from it or None); the
+    axes are (swept field, values) pairs, written under `headers`.
+    """
+    methods = [name for _, method, base in columns for name in (method, base) if name]
+    prices = _prices(config, methods, _sweep_overrides(config, sweep))
+    return PriceSurface(
+        axis_names=headers, axes=tuple(values for _, values in sweep),
+        value_names=tuple(header for header, _, _ in columns),
+        values=tuple(prices[method] if base is None else prices[method] - prices[base]
+                     for _, method, base in columns),
+        metadata=_metadata(config, extra))
 
 
 # figure: (contract, axes, columns, metadata).  An axis is (config key, swept
@@ -141,16 +149,18 @@ _BASKET_AXES = (("axis1", "spot1", "S1", 20.0, 60.0, 41), ("axis2", "spot2", "S2
 _QUANTO_AXES = (("axis1", "s1", "S1", 20.0, 60.0, 41), ("axis2", "s2", "S2", 20.0, 60.0, 41))
 _PRICE = (("price", "exact", None),)
 _ERROR = (("error", "hpm2", "exact"),)
+_NOTE = {"defaults-note": "strike, maturity and any zero cross-covariance/dividend entries "
+                          "are library defaults, not externally prescribed"}
 _FIGURES = {
     1: ("single", (_SPOT_AXIS,),
         (("exact", "exact", None), ("hpm1", "hpm1", None), ("hpm2", "hpm2", None)),
         {"methods": "exact,hpm1,hpm2"}),
     2: ("single", (_SPOT_AXIS, ("axis2", "valuation_time", "t", 0.0, "maturity", 51)),
         _ERROR, {"error": "hpm2 - exact"}),
-    3: ("basket", _BASKET_AXES, _PRICE, {"method": "exact"}),
-    4: ("basket", _BASKET_AXES, _ERROR, {"error": "series - exact"}),
-    5: ("quanto", _QUANTO_AXES, _PRICE, {"method": "exact"}),
-    6: ("quanto", _QUANTO_AXES, _ERROR, {"error": "series - exact"}),
+    3: ("basket", _BASKET_AXES, _PRICE, {"method": "exact", **_NOTE}),
+    4: ("basket", _BASKET_AXES, _ERROR, {"error": "series - exact", **_NOTE}),
+    5: ("quanto", _QUANTO_AXES, _PRICE, {"method": "exact", **_NOTE}),
+    6: ("quanto", _QUANTO_AXES, _ERROR, {"error": "series - exact", **_NOTE}),
 }
 
 
@@ -162,16 +172,8 @@ def figure_surface(figure_id, config):
         if isinstance(stop, str):
             stop = config.contract_summary()[stop]
         sweep.append((name, _axis(config, key, start, stop, points, f"{name} axis")))
-    methods = [name for _, method, base in columns for name in (method, base) if name]
-    prices = _prices(config, methods, _sweep_overrides(config, sweep))
-    return PriceSurface(
-        axis_names=tuple(axis[2] for axis in axes),
-        axes=tuple(values for _, values in sweep),
-        value_names=tuple(header for header, _, _ in columns),
-        values=tuple(prices[method] if base is None else prices[method] - prices[base]
-                     for _, method, base in columns),
-        metadata=_metadata(config, figure_id, extra),
-    )
+    return _surface(config, tuple(axis[2] for axis in axes), sweep, columns,
+                    {"figure": str(figure_id), **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +210,11 @@ def _sweep_overrides(config, axes):
 def grid_surface(config, axis1, axis2=None):
     """Sweep the configured method over one or two scalar parameters in one array call."""
     axes = (axis1,) if axis2 is None else (axis1, axis2)
-    compare = axis2 is None and config.method != "exact"
-    prices = _prices(config, (config.method, "exact") if compare else (config.method,),
-                     _sweep_overrides(config, axes))
-    price = prices[config.method]
-    names, values = ("price",), (price,)
-    if compare:
-        exact = prices["exact"]
-        names, values = ("price", "exact", "error"), (price, exact, price - exact)
-    return PriceSurface(
-        axis_names=tuple(name for name, _ in axes), axes=tuple(v for _, v in axes),
-        value_names=names, values=values,
-        metadata=_metadata(config, extra={"method": config.method}),
-    )
+    columns = (("price", config.method, None),)
+    if axis2 is None and config.method != "exact":
+        columns += (("exact", "exact", None), ("error", config.method, "exact"))
+    return _surface(config, tuple(name for name, _ in axes), axes, columns,
+                    {"method": config.method})
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +243,10 @@ def cmd_price(args):
 
 
 def cmd_figure(args):
-    config = _load_config(args, _FIGURES[args.figure][0])
+    contract, axes, _, _ = _FIGURES[args.figure]
+    if args.points2 is not None and len(axes) < 2:
+        raise ValueError(f"figure {args.figure} has one axis; --points2 does not apply")
+    config = _load_config(args, contract)
     for key, points in (("axis1", args.points), ("axis2", args.points2)):
         if points is not None:
             config.grid[key] = {**(config.grid.get(key) or {}), "points": points}
@@ -265,10 +262,11 @@ def cmd_grid(args):
     axes = []
     for name, start, stop, points in ((args.axis, args.start, args.stop, args.points),
                                       (args.axis2, args.start2, args.stop2, args.points2)):
-        if name is None:
+        if (name, start, stop, points) == (None, None, None, None):
             continue
-        if None in (start, stop, points):
-            raise ValueError("--axis2 requires --start2, --stop2 and --points2")
+        if None in (name, start, stop, points):
+            raise ValueError("--axis2 requires --start2, --stop2 and --points2, "
+                             "and each of them requires --axis2")
         if points < 2 or stop <= start:
             raise ValueError(f"grid axis {name!r} needs at least 2 points and stop > start")
         axes.append((name, np.linspace(start, stop, points)))

@@ -2,7 +2,9 @@
 
 Precedence is flag > file > default.  JSON parsing is fail-closed: any key
 that the schema does not know is an error, so a typo cannot silently price
-the wrong contract.
+the wrong contract.  Each contract's section holds the fields of its spec
+class in `SPECS`, and `ExperimentConfig.spec` is the one place that builds
+the configured contract's spec.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import hpm_series
 from .transforms import BasketSpec, QuantoSpec, VanillaOptionSpec
 
 CONTRACTS = ("single", "basket", "quanto")
 METHODS = ("exact", "hpm1", "hpm2")
+
+# the spec class each contract builds from its config section
+SPECS = {"single": VanillaOptionSpec, "basket": BasketSpec, "quanto": QuantoSpec}
 
 # which series methods make sense for which contract
 METHODS_BY_CONTRACT = {
@@ -97,32 +100,16 @@ class ExperimentConfig:
                 if name != "points" and not (_is_real(value) and math.isfinite(value)):
                     raise ValueError(f"grid.{key}.{name} must be a finite number, got {value!r}")
         # constructing the specs runs the full domain validation
-        self.vanilla_spec()
-        self.basket_spec()
-        self.quanto_spec()
+        for contract, spec_class in SPECS.items():
+            spec_class(**getattr(self, contract))
         return self
 
-    def vanilla_spec(self, **overrides) -> VanillaOptionSpec:
-        return VanillaOptionSpec(**{**self.single, **overrides})
-
-    def basket_spec(self, **overrides) -> BasketSpec:
-        params = {**self.basket, **overrides}
-        return BasketSpec(
-            spots=np.asarray(params["spots"], dtype=float),
-            weights=np.asarray(params["weights"], dtype=float),
-            dividends=np.asarray(params["dividends"], dtype=float),
-            covariance=np.asarray(params["covariance"], dtype=float),
-            rate=params["rate"], strike=params["strike"],
-            maturity=params["maturity"], valuation_time=params["valuation_time"],
-        )
-
-    def quanto_spec(self, **overrides) -> QuantoSpec:
-        return QuantoSpec(**{**self.quanto, **overrides})
+    def spec(self, **overrides):
+        """The configured contract's spec: its section's fields, overridden by `overrides`."""
+        return SPECS[self.contract](**{**self.contract_summary(), **overrides})
 
     def contract_summary(self) -> dict:
-        return {
-            "single": self.single, "basket": self.basket, "quanto": self.quanto,
-        }[self.contract]
+        return getattr(self, self.contract)
 
     @classmethod
     def from_sources(cls, config_path=None, overrides=None) -> "ExperimentConfig":

@@ -23,9 +23,10 @@ and are exactly the w-Taylor coefficients of the exact reduced solution.
 coefficients of P_n and Q_n in z; the test suite checks the second against
 mpmath.  Right-tail evaluation routes through erfcx so the structural
 cancellation between the Gaussian and erfc pieces costs absolute, not
-relative, accuracy.  Only P_n and Q_n change with n, so a series sum
-evaluates G and erfc/erfcx once per point on each side of z = 0 and every
-term reuses them.
+relative, accuracy.  Only P_n and Q_n change with n, so G and erfc/erfcx
+are evaluated once per point on each side of z = 0 and every term reuses
+them.  One term loop, `_side_terms`, serves both the series sums (summed
+side by side) and the term evaluators (one row per order).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .transforms import (
     VanillaOptionSpec,
     _is_float,
     _libm,
+    _live_time,
     _log_moneyness,
     _price_or_payoff,
     _require,
@@ -98,45 +100,44 @@ def _with_coefs(z, *coefs):
 _MAX_COEF = 1e50
 
 
-def _check_coefs(*coefs):
+def _side_terms(polys, orders, z, w, *coefs):
+    """The term loop of both families: f_n(z) w^i for the i-th n of `orders` (i = 1, 2, ...).
+
+    `w` and array coefficients broadcast to z's shape.  Yields (at, terms)
+    for each side of z = 0 that has points: `at` indexes z flattened, and
+    `terms` yields the side's terms order by order from one `_sides` pass.
+    """
     for coef in coefs:
         _require(abs(coef) <= _MAX_COEF,
                  "series terms overflow: |k1|, |k2| must not exceed 1e50, got {}", coef)
+    for at, zs, combine in _sides(z):
+        side_coefs = [_on_side(c, at, z.shape) for c in coefs]
+        yield at, _weighted_terms(polys, orders, zs, combine, _on_side(w, at, z.shape),
+                                  side_coefs)
+
+
+def _weighted_terms(polys, orders, zs, combine, ws, coefs):
+    w_pow = ws
+    for n in orders:
+        yield combine(*polys(n, zs, *coefs)) * w_pow
+        w_pow = w_pow * ws
 
 
 def _term_rows(polys, orders, z, *coefs):
-    """f_n(z) of one family for each n in `orders`, yielded one order at a time.
-
-    One `_sides` pass serves every order: (P_n, Q_n) = polys(n, zs, *coefs)
-    on each side.  z broadcasts against array coefficients, and each row
-    has the broadcast shape; only the rows a caller keeps stay alive.
-    """
-    _check_coefs(*coefs)
+    """f_n(z) of one family, one row per n in `orders`, over z broadcast against array k."""
     z = _with_coefs(z, *coefs)
-    sides = [(at, zs, combine, [_on_side(c, at, z.shape) for c in coefs])
-             for at, zs, combine in _sides(z)]
-    for n in orders:
-        row = np.empty(z.size)
-        for at, zs, combine, side_coefs in sides:
-            row[at] = combine(*polys(n, zs, *side_coefs))
-        yield row.reshape(z.shape)
+    rows = np.empty((len(orders), z.size))
+    for at, terms in _side_terms(polys, orders, z, 1.0, *coefs):
+        rows[:, at] = list(terms)
+    return rows.reshape((len(orders),) + z.shape)
 
 
 def _series(z, w, order, k1, k2):
-    """sum_{n<order} f_n(z) w^{n+1} of the (k1, k2) family, term by term on each side of z = 0."""
-    _check_coefs(k1, k2)
+    """sum_{n<order} f_n(z) w^{n+1} of the (k1, k2) family, summed on each side of z = 0."""
     z = _with_coefs(z, k1, k2)
-    w = np.broadcast_to(w, z.shape).reshape(-1)
     total = np.empty(z.size)
-    for at, zs, combine in _sides(z):
-        ws = w[at]
-        k1s, k2s = _on_side(k1, at, z.shape), _on_side(k2, at, z.shape)
-        side = np.zeros_like(zs)
-        w_pow = ws
-        for n in range(order):
-            side = side + combine(*_phi_polys(n, zs, k1s, k2s)) * w_pow
-            w_pow = w_pow * ws
-        total[at] = side
+    for at, terms in _side_terms(_phi_polys, range(order), z, w, k1, k2):
+        total[at] = sum(terms)
     return total.reshape(z.shape)
 
 
@@ -257,7 +258,7 @@ def _term(name, polys, n, value, *coefs):
     """f_n(value) of one family: the one-order case of `_term_rows`, over the broadcast shape."""
     z = _check_term_args(n, value, name)
     shape = np.broadcast_shapes(np.shape(value), *map(np.shape, coefs))
-    return _result(next(_term_rows(polys, (n,), z, *coefs)), shape)
+    return _result(_term_rows(polys, (n,), z, *coefs)[0], shape)
 
 
 def phi_term(n, xi, params: GeneralizedReducedParams):
@@ -310,19 +311,17 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
     shape = np.broadcast(y_arr, tau_arr).shape
     if not (_is_float(k1) and _is_float(k2)):
         shape = np.broadcast_shapes(shape, np.shape(k1), np.shape(k2))
-    expired = tau_arr == 0.0
-    any_expired = bool(expired.any())
-    if any_expired:
+    tau_arr, expired = _live_time(tau_arr)
+    if expired is not None:
         payoff = np.maximum(1.0 - np.exp(y_arr), 0.0)
         if expired.all():
             return _result(np.broadcast_to(payoff, shape).copy())
         # any finite point stands in where the payoff replaces the series
         y_arr = np.where(expired, 0.0, y_arr)
-        tau_arr = np.where(expired, 1.0, tau_arr)
     w = np.sqrt(tau_arr)
     z = _check_coordinate(y_arr / w, "hpm_reduced_sum")
     total = _series(z, w, order, k1, k2)
-    if any_expired:
+    if expired is not None:
         total = np.where(expired, payoff, total)
     return _result(total, shape)
 

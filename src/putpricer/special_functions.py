@@ -128,10 +128,10 @@ def _erfcx_far(x):
     return num
 
 
-def _erfcx_cf(x, terms=40):
-    # x >= 6: Laplace continued fraction, evaluated bottom-up
+def _erfcx_cf(x):
+    # x >= 6: Laplace continued fraction of 40 terms, evaluated bottom-up
     tail = np.zeros_like(x)
-    for n in range(terms, 0, -1):
+    for n in range(40, 0, -1):
         tail += x
         np.divide(0.5 * n, tail, out=tail)
     tail += x

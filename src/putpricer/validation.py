@@ -3,8 +3,9 @@
 Each check pits one implementation path against an independent route:
 finite-difference PDE solves against the closed forms, the coefficients of
 the series terms' polynomial factors against the recursion's exact
-identities, the terms against deep-tail combinatorics, the special
-functions against series/quadrature.  A route is independent of the
+identities, the terms against deep-tail combinatorics, the series sum at
+short time against the exact solution, the special functions against
+series/quadrature.  A route is independent of the
 formula it checks, not of every line of the library: every quanto check
 (the CN solve, the internal-consistency route, the error surface) starts
 from `reduce_quanto`'s parameters, so nothing here checks that reduction
@@ -16,9 +17,9 @@ Every oracle runs as array calls, with no loop over points: random
 contracts are drawn as blocks of `rng.random` scaled column by column,
 which reproduces the one-contract-at-a-time draws bit for bit, each family
 or series order is priced in one call over array-valued fields, and the
-series terms arrive one order at a time.  The term-family checks sample no
-points: they compare coefficient arrays of the factors P_n, Q_n, read off
-once per order at the roots of unity for every k at once.  Every array stays
+series terms of every order arrive from one call.  The term-family checks
+sample no points: they compare coefficient arrays of the factors P_n, Q_n,
+read off once per order at the roots of unity for every k at once.  Every array stays
 below glibc's 128 KB mmap threshold, since freeing a larger one raises that
 threshold and grows the heap for the rest of the process; the chunk sizes
 below keep it.
@@ -51,8 +52,6 @@ from .transforms import (
 
 # frozen regression constants
 BS_PUT_SECTION5_ATM = 3.1341649725632905      # S = E = 40, r=0.05, vol=0.324336, T=0.5
-QUANTO_FIG5_ATM = 96.95604139940974           # S1 = S2 = 40, fig-5 parameters
-BASKET_FIG3_ATM = 1.4110392664949423          # S1 = S2 = 40, fig-3 parameters
 EPS1_HPM2_MAX_ERROR = 38.01239648113331       # max |hpm2(6) - exact| on S in [1, 100]
 EPS2_QUANTO_SURFACE = 0.0029262086729886505   # max |hpm - exact| on [20, 60]^2
 EPS3_BASKET_SURFACE = 0.00029932999129300697  # max |hpm - exact| on [20, 60]^2
@@ -462,6 +461,19 @@ def _deep_itm_asymptote(n, z, k1, k2):
     return total
 
 
+def check_series_short_time(profile="default"):
+    # at tau = 1e-6 the order-6 sum misses the exact solution by O(tau^3.5), so this
+    # sees rounding on the series' evaluation path: both sides of z = 0 and array k
+    tau = 1e-6
+    k1, k2 = _uniform(np.random.default_rng(61).random((2, 8, 1)), -2.0, 2.0)
+    params = GeneralizedReducedParams(k1, k2)
+    y = math.sqrt(tau) * np.linspace(-8.0, 8.0, 33)
+    gap = hpm_series.hpm_reduced_sum(y, tau, params) - reduced_exact_u(y, tau, params)
+    worst = float(np.abs(gap).max()) / math.sqrt(tau)
+    bound = _tol(1e-11, profile)
+    return [CheckResult("series-short-time", worst, f"<= {bound:.1e}", worst <= bound)]
+
+
 def check_tail_asymptotics(profile="default"):
     rng = np.random.default_rng(55)
     pairs = [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(2)]
@@ -514,6 +526,7 @@ ALL_CHECKS = (
     check_error_surfaces,
     check_special_functions,
     check_partial_sum_identity,
+    check_series_short_time,
     check_tail_asymptotics,
 )
 

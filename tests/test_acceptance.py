@@ -145,6 +145,31 @@ def test_criterion_10_partial_sum_identity():
     _assert_all(results, "criterion-10")
 
 
+def test_series_short_time_check():
+    results, elapsed = _timed(validation.check_series_short_time)
+    _assert_all(results, "series-short-time", budget=1.0, elapsed=elapsed)
+
+
+def _reversed_on_side(coef, at, shape):
+    # an array coefficient read from the side's points in reverse order
+    if hpm_series._is_float(coef):
+        return coef
+    return np.broadcast_to(coef, shape).reshape(-1)[at[::-1]]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_INV_SQRT_PI", 1.0 / (math.sqrt(math.pi) + 1e-9)),
+    ("_on_side", _reversed_on_side),
+], ids=["gauss-constant", "side-indexing"])
+def test_series_short_time_check_sees_the_evaluation_path(monkeypatch, name, value):
+    # errors that leave every polynomial coefficient intact, which the
+    # term-family checks therefore cannot see
+    monkeypatch.setattr(hpm_series, name, value)
+    for profile in ("default", "strict"):
+        [result] = validation.check_series_short_time(profile)
+        assert not result.passed, result
+
+
 def test_criterion_11_boundary_asymptotics():
     results, _ = _timed(validation.check_tail_asymptotics)
     _assert_all(results, "criterion-11")

@@ -413,6 +413,13 @@ def test_figure1_odd_order_rejected_at_zero(tmp_path, capsys):
     assert "even order" in capsys.readouterr().err
 
 
+def test_figure_points2_on_a_one_axis_figure_exits_2(tmp_path, capsys):
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "1", "--out", str(out), "--points2", "5"]) == 2
+    assert "--points2 does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # grid command
 # ---------------------------------------------------------------------------
@@ -439,7 +446,7 @@ def test_grid_two_axes_basket(tmp_path):
     assert header == ["spot1", "spot2", "price"]
     assert rows.shape == (12, 3)
     # each row prices the basket at both of its spots
-    spec = ExperimentConfig().basket_spec(spots=rows[:, :2])
+    spec = ExperimentConfig(contract="basket").spec(spots=rows[:, :2])
     exact = basket_put_exact(spec)
     assert np.allclose(rows[:, 2], exact, rtol=1e-11, atol=0.0)
 
@@ -471,6 +478,10 @@ ONE_ASSET = ["--spots", "40", "--weights", "1", "--dividends", "0", "--covarianc
     (["single", "--axis", "spot", "--start", "20", "--stop", "60", "--points", "3",
       "--axis2", "vol", "--start2", "0.5", "--stop2", "0.1", "--points2", "3"],
      "grid axis 'vol' needs"),
+    (["single", "--axis", "spot", "--start", "10", "--stop", "50", "--points", "3",
+      "--stop2", "9", "--points2", "4"], "each of them requires --axis2"),
+    (["single", "--axis", "spot", "--start", "10", "--stop", "50", "--points", "3",
+      "--start2", "1"], "each of them requires --axis2"),
 ])
 def test_grid_invalid_sweep_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "grid.csv"
