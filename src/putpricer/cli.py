@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, hpm_series, validation
-from .config import CONTRACTS, METHODS, SCHEMA, ExperimentConfig
-from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact
+from . import __version__, validation
+from .config import CONTRACTS, METHODS, PRICERS, SCHEMA, ExperimentConfig
+from .exact_pricing import bs_put  # noqa: F401 (perfbench's tracer tests call cli.bs_put)
 from .surface import PriceSurface
 
 def _parse_vector(text):
@@ -69,31 +69,12 @@ def _load_config(args, contract):
 # ---------------------------------------------------------------------------
 
 
-# contract: {method: pricer(spec, order)}; each pricer looks its name up when
-# called, so a wrapper installed on that name (a tracer) runs
-_PRICING = {
-    "single": {
-        "exact": lambda spec, order: bs_put(spec),
-        "hpm1": lambda spec, order: hpm_series.price_single_hpm1(spec),
-        "hpm2": lambda spec, order: hpm_series.price_single_hpm2(spec, order),
-    },
-    "basket": {
-        "exact": lambda spec, order: basket_put_exact(spec),
-        "hpm2": lambda spec, order: hpm_series.price_basket_hpm(spec, order),
-    },
-    "quanto": {
-        "exact": lambda spec, order: quanto_put_exact(spec),
-        "hpm2": lambda spec, order: hpm_series.price_quanto_hpm(spec, order),
-    },
-}
-
-
 def _prices(config, methods, overrides=None):
     """{method: price} of the configured contract with its fields overridden, from one spec.
 
     Array-valued overrides price a whole sweep in one call per method.
     """
-    spec, pricers = config.spec(**(overrides or {})), _PRICING[config.contract]
+    spec, pricers = config.spec(**(overrides or {})), PRICERS[config.contract]
     return {method: pricers[method](spec, config.order) for method in dict.fromkeys(methods)}
 
 
@@ -167,6 +148,9 @@ _FIGURES = {
 def figure_surface(figure_id, config):
     """Build the data behind one of the six standard figures as one grid sweep."""
     _, axes, columns, extra = _FIGURES[figure_id]
+    if len(axes) < 2 and config.grid.get("axis2"):
+        raise ValueError(f"figure {figure_id} has one axis; --points2 does not apply, "
+                         "nor does a config file's grid.axis2")
     sweep = []
     for key, name, _, start, stop, points in axes:
         if isinstance(stop, str):
@@ -243,10 +227,7 @@ def cmd_price(args):
 
 
 def cmd_figure(args):
-    contract, axes, _, _ = _FIGURES[args.figure]
-    if args.points2 is not None and len(axes) < 2:
-        raise ValueError(f"figure {args.figure} has one axis; --points2 does not apply")
-    config = _load_config(args, contract)
+    config = _load_config(args, _FIGURES[args.figure][0])
     for key, points in (("axis1", args.points), ("axis2", args.points2)):
         if points is not None:
             config.grid[key] = {**(config.grid.get(key) or {}), "points": points}

@@ -4,7 +4,8 @@ Precedence is flag > file > default.  JSON parsing is fail-closed: any key
 that the schema does not know is an error, so a typo cannot silently price
 the wrong contract.  Each contract's section holds the fields of its spec
 class in `SPECS`, and `ExperimentConfig.spec` is the one place that builds
-the configured contract's spec.
+the configured contract's spec; `PRICERS` is the one place that says which
+methods price it.
 """
 
 from __future__ import annotations
@@ -14,21 +15,33 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import hpm_series
+from . import exact_pricing, hpm_series
 from .transforms import BasketSpec, QuantoSpec, VanillaOptionSpec
-
-CONTRACTS = ("single", "basket", "quanto")
-METHODS = ("exact", "hpm1", "hpm2")
 
 # the spec class each contract builds from its config section
 SPECS = {"single": VanillaOptionSpec, "basket": BasketSpec, "quanto": QuantoSpec}
 
-# which series methods make sense for which contract
-METHODS_BY_CONTRACT = {
-    "single": ("exact", "hpm1", "hpm2"),
-    "basket": ("exact", "hpm2"),
-    "quanto": ("exact", "hpm2"),
+# contract: {method: pricer(spec, order)}, the methods that apply to it; each
+# pricer looks its name up when called, so a wrapper installed on that name
+# (a tracer) runs
+PRICERS = {
+    "single": {
+        "exact": lambda spec, order: exact_pricing.bs_put(spec),
+        "hpm1": lambda spec, order: hpm_series.price_single_hpm1(spec),
+        "hpm2": lambda spec, order: hpm_series.price_single_hpm2(spec, order),
+    },
+    "basket": {
+        "exact": lambda spec, order: exact_pricing.basket_put_exact(spec),
+        "hpm2": lambda spec, order: hpm_series.price_basket_hpm(spec, order),
+    },
+    "quanto": {
+        "exact": lambda spec, order: exact_pricing.quanto_put_exact(spec),
+        "hpm2": lambda spec, order: hpm_series.price_quanto_hpm(spec, order),
+    },
 }
+
+CONTRACTS = tuple(SPECS)
+METHODS = tuple(dict.fromkeys(method for pricers in PRICERS.values() for method in pricers))
 
 DEFAULT_SINGLE = {
     "spot": 40.0, "strike": 40.0, "rate": 0.05, "vol": 0.324336,
@@ -88,7 +101,7 @@ class ExperimentConfig:
             raise ValueError(f"contract must be one of {CONTRACTS}, got {self.contract!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method not in METHODS_BY_CONTRACT[self.contract]:
+        if self.method not in PRICERS[self.contract]:
             raise ValueError(
                 f"method {self.method!r} does not apply to contract {self.contract!r}"
             )

@@ -196,8 +196,9 @@ def check_recursion_residuals(profile="default"):
 
 
 def check_cn_cross_validation(profile="default"):
-    # Richardson over an n^2 and a (2n)^2 solve leaves at most 5.0e-7 at n = 200
-    # and 5.1e-8 at n = 400, which strict's 10x tighter tolerance needs
+    # Richardson over n and 2n nodes, each on a quarter as many steps, leaves at
+    # most 4.9e-7 at n = 200 and 5.2e-8 at n = 400, which strict's 10x tighter
+    # tolerance needs
     bound = _tol(1e-6, profile)
     n = 400 if profile == "strict" else 200
 

@@ -12,7 +12,7 @@ from putpricer.config import (
     DEFAULT_BASKET,
     DEFAULT_QUANTO,
     DEFAULT_SINGLE,
-    METHODS_BY_CONTRACT,
+    PRICERS,
     SCHEMA,
     ExperimentConfig,
 )
@@ -420,6 +420,17 @@ def test_figure_points2_on_a_one_axis_figure_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_figure_config_axis2_on_a_one_axis_figure_exits_2(tmp_path, capsys):
+    out, cfg = tmp_path / "fig.csv", tmp_path / "f.json"
+    cfg.write_text(json.dumps({"grid": {"axis2": {"points": 5}}}))
+    assert main(["figure", "1", "--out", str(out), "--config", str(cfg)]) == 2
+    assert "grid.axis2" in capsys.readouterr().err
+    assert not out.exists()
+    # figure 2 has a second axis: the same file sets its point count
+    assert main(["figure", "2", "--out", str(out), "--config", str(cfg), "--points", "3"]) == 0
+    assert read_csv(out)[2].shape == (3 * 5, 3)
+
+
 # ---------------------------------------------------------------------------
 # grid command
 # ---------------------------------------------------------------------------
@@ -550,7 +561,7 @@ def per_point_surface(config, axes):
 
 @pytest.mark.parametrize("contract, method, overrides", [
     *[pytest.param(contract, method, {}, id=f"{contract}-{method}") for contract in GRID_AXES
-      for method in METHODS_BY_CONTRACT[contract]],
+      for method in PRICERS[contract]],
     pytest.param("quanto", "hpm2", {"order": 3}, id="quanto-hpm2-order3"),
     pytest.param("basket", "hpm2", THREE_ASSETS, id="basket-hpm2-three-assets"),
 ])

@@ -168,9 +168,10 @@ def test_basket_closed_form_matches_cn_oracle_for_three_assets():
     assert abs(red.xi) < 1e-15
     params = basket_reduced_params(red, spec.rate)
     tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
-    # the payoff kink sits at the compared node and tau is ~0.01: 800^2 alone is
-    # off by 2.6e-5 here; Richardson over 400^2 + 800^2 by 4.3e-8.  The
-    # extrapolated gap changes sign between n = 200 (1.5e-8) and n = 240
+    # the payoff kink sits at the compared node and tau is ~0.01: 800 nodes and
+    # 800 steps alone are off by 2.6e-5 here; Richardson over 400 + 800 nodes
+    # (100 + 200 steps) by 4.3e-8.  The extrapolated gap changes sign between
+    # n = 200 (-6.3e-9) and n = 220 (4.4e-8)
     u = _richardson_at_zero(params, tau, 400)
     assert abs(u - basket_put_exact(spec) / spec.strike) < 1e-7
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import types
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from putpricer import hpm_series, pde_oracle
+from putpricer import hpm_series, pde_oracle, validation
 from putpricer.exact_pricing import reduced_exact_u
 from putpricer.pde_oracle import (
     GridSpec,
@@ -14,7 +15,14 @@ from putpricer.pde_oracle import (
     _richardson_at_zero,
     cn_solve,
 )
-from putpricer.transforms import GeneralizedReducedParams
+from putpricer.transforms import (
+    GeneralizedReducedParams,
+    VanillaOptionSpec,
+    basket_reduced_params,
+    reduce_basket,
+    reduce_quanto,
+    to_dimensionless_arrays,
+)
 
 FIG1_PARAMS = GeneralizedReducedParams(0.950625998140567, 0.950625998140567)
 FIG1_TAU = 0.026298460224
@@ -192,11 +200,43 @@ def test_matches_closed_form_at_origin():
 
 
 def test_richardson_pair_cancels_the_second_order_error():
-    # (4 v_400 - v_200)/3 at y = 0 leaves 2.7e-7 against 6.5e-5 for 400^2 alone
+    # (4 v_400 - v_200)/3 at y = 0, on 50 and 100 steps, leaves 2.8e-7 against
+    # 6.5e-5 for 400 nodes and 400 steps alone
     exact = reduced_exact_u(0.0, FIG1_TAU, FIG1_PARAMS)
     raw = abs(cn_solve(FIG1_PARAMS, FIG1_TAU, GridSpec(ny=400, n_steps=400)).value_at_zero()
               - exact)
     assert abs(_richardson_at_zero(FIG1_PARAMS, FIG1_TAU, 200) - exact) * 50.0 <= raw
+
+
+def test_halving_the_richardson_time_steps_moves_its_value_by_under_1e_7(monkeypatch):
+    # the Section-5 put, the figure-5 quanto and the figure-3 basket at n = 200:
+    # half the oracle's steps moves the extrapolated value by at most 3.6e-8,
+    # so the time grid is not the limiting error; one halving further it moves
+    # by 4.3e-7, on the way to the ~3e-5 gaps of m // 16 steps
+    single = VanillaOptionSpec(spot=40.0, **validation.SECTION5)
+    _, single_tau, k = to_dimensionless_arrays(single)
+    quanto = validation._fig5_quanto()
+    qred = reduce_quanto(quanto)
+    basket = validation._fig3_basket()
+    bred = reduce_basket(basket)
+    bparams = basket_reduced_params(bred, basket.rate)
+    params = GeneralizedReducedParams(np.array([float(k), qred.k1, bparams.k1]),
+                                      np.array([float(k), qred.k2, bparams.k2]))
+    tau = np.array([float(single_tau), 0.5 * qred.sigma_hat_sq * quanto.time_remaining,
+                    0.5 * bred.sigma_hat**2 * basket.time_remaining])
+
+    grids = []
+
+    def recording(params, tau_final, grid):
+        grids.append(grid)
+        return cn_solve(params, tau_final, grid)
+
+    monkeypatch.setattr(pde_oracle, "cn_solve", recording)
+    value = _richardson_at_zero(params, tau, 200)
+    assert [grid.ny for grid in grids] == [200, 400]
+    coarse, fine = (cn_solve(params, tau, dataclasses.replace(grid, n_steps=grid.n_steps // 2))
+                    .value_at_zero() for grid in grids)
+    assert np.abs((4.0 * fine - coarse) / 3.0 - value).max() <= 1e-7
 
 
 def test_second_order_convergence():
