@@ -285,7 +285,9 @@ def hpm1_reduced(x, tau, k):
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm1_reduced: tau must be nonnegative")
-    return _result(np.maximum(np.exp(-k * tau_arr) - np.exp(x_arr), 0.0))
+    value = np.maximum(np.exp(-k * tau_arr) - np.exp(x_arr), 0.0)
+    _require(~np.isnan(value), "hpm1_reduced: NaN input or k * tau = 0 * inf")
+    return _result(value)
 
 
 def _check_order(order):

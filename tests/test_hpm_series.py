@@ -223,6 +223,19 @@ def test_hpm1_reduced_values():
     for x in (-0.5, -2.0):
         assert hpm1_reduced(x, 0.0, 1.0) == pytest.approx(1.0 - math.exp(x), rel=1e-15)
     assert hpm1_reduced(1.0, 0.3, 1.0) == 0.0  # clamp region
+    # x = -inf is spot 0, where the naive series pays e^{-k tau}
+    assert hpm1_reduced(-math.inf, 0.2, 0.7) == pytest.approx(math.exp(-0.14), rel=1e-15)
+    assert np.array_equal(hpm1_reduced(np.array([-math.inf, 0.0]), 0.0, 0.7), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.2, 0.7), (0.3, math.nan, 0.7), (0.3, 0.2, math.nan),
+    (np.array([-0.5, math.nan]), 0.2, 0.7), (np.array([-0.5, 0.1]), 0.2, np.array([0.7, math.nan])),
+], ids=["x", "tau", "k", "x-array", "k-array"])
+def test_hpm1_reduced_refuses_nan(args):
+    # reduced_exact_u and hpm_reduced_sum refuse such input too
+    with pytest.raises(ValueError, match="NaN input"):
+        hpm1_reduced(*args)
 
 
 def test_hpm1_partial_sum_identity():

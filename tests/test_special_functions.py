@@ -415,6 +415,19 @@ def test_range_split_matches_masked_kernels_on_every_shape(fn):
         "empty-2d": np.empty((0, 3)), "2-d": grid, "strided": KERNEL_ARGUMENTS[:41:2],
         "transposed": grid.T, "broadcast": np.broadcast_to(grid[1], (4, 10)),
         "column-broadcast": np.broadcast_to(grid[:, :1], (6, 5)),
+        "float64": np.float64(-0.3), "1x1": np.array([[2.0]]),
     }
+    # one element in each range, which takes the scalar route: the range edges
+    # with their neighbours, the continued-fraction range, +-0 and +-inf, each
+    # in every one-element form
+    magnitudes = [0.0, 7.0, 30.0, 1e300, np.inf]
+    for edge in (0.46875, 4.0, 6.0):
+        magnitudes += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    for v in magnitudes + [-v for v in magnitudes]:
+        for form in (float, np.float64, np.array, lambda v: np.array([v]), lambda v: np.array([[v]])):
+            x = form(v)
+            shapes[f"{form.__name__}({v!r}) {np.shape(x)}"] = x
     for name, x in shapes.items():
-        assert_same_bits(fn(x), MASKED[fn](x))
+        out = fn(x)
+        assert type(out) is (np.ndarray if np.shape(x) else float), name
+        assert_same_bits(out, MASKED[fn](x))
