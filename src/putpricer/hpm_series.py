@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .special_functions import SQRT_PI, _result, erfc, erfcx
+from .special_functions import SQRT_PI, _blockwise, _result, erfc, erfcx
 from .transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -300,24 +300,26 @@ def _check_order(order):
 def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_ORDER):
     """Smoothed series value v(y, tau) = sqrt(tau) sum_{n<order} f_n(y/sqrt(tau)) tau^{n/2}.
 
-    `y`, `tau` and array `params.k1`, `params.k2` broadcast against each
-    other.  Returns the raw (unclamped) partial sum; price-level callers
-    clamp.  Where tau = 0 the payoff max(1 - e^y, 0) applies directly.
+    `y`, `tau` and array `params.k1`, `params.k2` broadcast against each other.  Returns the
+    raw (unclamped) partial sum; price-level callers clamp.  Where tau = 0 the payoff
+    max(1 - e^y, 0) applies directly.  Over 16,384 elements it runs in `_blockwise` blocks:
+    the same bits, in about the output's memory plus one block's.
     """
     _check_order(order)
     y_arr = np.asarray(y, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm_reduced_sum: tau must be nonnegative")
-    k1, k2 = params.k1, params.k2
-    shape = np.broadcast(y_arr, tau_arr).shape
-    if not (_is_float(k1) and _is_float(k2)):
-        shape = np.broadcast_shapes(shape, np.shape(k1), np.shape(k2))
+    return _result(_blockwise(_reduced_sum, y_arr, tau_arr, params.k1, params.k2, order))
+
+
+def _reduced_sum(y_arr, tau_arr, k1, k2, order):
+    shape = np.broadcast(y_arr, tau_arr, k1, k2).shape
     tau_arr, expired = _live_time(tau_arr)
     if expired is not None:
         payoff = np.maximum(1.0 - np.exp(y_arr), 0.0)
         if expired.all():
-            return _result(np.broadcast_to(payoff, shape).copy())
+            return np.broadcast_to(payoff, shape).copy()
         # any finite point stands in where the payoff replaces the series
         y_arr = np.where(expired, 0.0, y_arr)
     w = np.sqrt(tau_arr)
@@ -325,7 +327,7 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
     total = _series(z, w, order, k1, k2)
     if expired is not None:
         total = np.where(expired, payoff, total)
-    return _result(total, shape)
+    return total.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

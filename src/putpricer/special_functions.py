@@ -71,6 +71,25 @@ def _result(out, shape=None):
     return out if getattr(out, "ndim", 0) else float(out)
 
 
+_BLOCK = 16384   # 128 KB per float64 temporary, glibc's default mmap threshold
+
+
+def _blockwise(body, *args):
+    """body(*args) for an elementwise body, in order over blocks of at most `_BLOCK` elements:
+    each array argument arrives broadcast, flat and sliced, a 0-d one whole,
+    and each block is written into one output of the broadcast shape.
+    """
+    grid = np.broadcast(*args)
+    if grid.size <= _BLOCK:
+        return body(*args)
+    flat = [a if np.ndim(a) == 0 else np.broadcast_to(a, grid.shape).reshape(-1) for a in args]
+    out = np.empty(grid.size)
+    for start in range(0, grid.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = body(*(a if np.ndim(a) == 0 else a[block] for a in flat))
+    return out.reshape(grid.shape)
+
+
 def _into(ufunc, out, *args):
     # ufunc(*args) written over `out` where that is an array; a new scalar otherwise,
     # by the operator where there is one, ~10x cheaper than a ufunc call on scalars

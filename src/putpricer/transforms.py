@@ -249,21 +249,21 @@ class QuantoReduction:
 # ---------------------------------------------------------------------------
 
 
-def _libm_each(fn, values):
-    """A `math` function applied per element, as the scalar formulas apply it.
+def _libm(fn, value):
+    """fn(value) through libm: on a float at once, on an array per element.
 
     numpy's vectorised exp and log can differ from libm's in the last bit,
-    and the figure CSVs are pinned to the bytes of the scalar formulas.
+    and the figure CSVs are pinned to the bytes of the scalar formulas.  An
+    overflow raises ValueError naming `fn` and the largest argument.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        return np.float64(fn(float(arr)))
-    return np.array([fn(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
-
-
-def _libm(fn, value):
-    """fn(value) on a float; on an array, `fn` per element through `_libm_each`."""
-    return fn(value) if isinstance(value, float) else _libm_each(fn, value)
+    try:
+        if isinstance(value, float):
+            return fn(value)
+        arr = np.asarray(value, dtype=float)
+        return np.fromiter(map(fn, arr.ravel().tolist()), float, arr.size).reshape(arr.shape)
+    except OverflowError:    # of exp or a volatility's square: the largest argument overflows
+        largest = float(np.nanmax(value))
+        raise ValueError(f"{fn.__name__}({largest!r}) is out of float range") from None
 
 
 def _square(v):
@@ -271,13 +271,13 @@ def _square(v):
     return v ** 2
 
 
-def _log_or_minus_inf(v):
-    return math.log(v) if v > 0.0 else -math.inf
-
-
 def _log_moneyness(spot, strike):
     """ln(S/K) through libm's log; -inf at S = 0, the zero-spot limit."""
-    return _libm_each(_log_or_minus_inf, np.asarray(spot, dtype=float) / strike)
+    ratio = np.asarray(spot, dtype=float) / strike
+    if ratio.ndim == 0:
+        return np.float64(math.log(ratio) if ratio > 0.0 else -math.inf)
+    live = ratio > 0.0
+    return np.where(live, _libm(math.log, np.where(live, ratio, 1.0)), -np.inf)
 
 
 def _live_time(t_rem):

@@ -22,7 +22,8 @@ sample no points: they compare coefficient arrays of the factors P_n, Q_n,
 read off once per order at the roots of unity for every k at once.  Every array stays
 below glibc's 128 KB mmap threshold, since freeing a larger one raises that
 threshold and grows the heap for the rest of the process; the chunk sizes
-below keep it.
+below keep it.  The two reduced engines bound theirs likewise, to
+16,384-element (128 KB) blocks.
 
 Frozen regression constants were established once with the oracles in this
 module and are asserted with 5% slack thereafter.

@@ -8,6 +8,7 @@ returns a Python float for a result of shape () and an ndarray otherwise.
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from putpricer import hpm_series
 from putpricer.cli import main
 from putpricer.exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
 from putpricer.hpm_series import hpm1_reduced, hpm_reduced_sum, phi_term, single_asset_term
-from putpricer.special_functions import SQRT_PI, SQRT_TWO, erfc, erfcx, normal_cdf
+from putpricer.special_functions import _BLOCK, SQRT_PI, SQRT_TWO, erfc, erfcx, normal_cdf
 from putpricer.transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -231,6 +232,96 @@ def test_reduced_sum_rejects_any_negative_tau():
         hpm_reduced_sum(np.zeros(3), np.array([0.1, -1e-12, 0.2]), params)
     with pytest.raises(ValueError, match="nonnegative"):
         hpm_reduced_sum(0.0, -0.1, params)
+
+
+# ---------------------------------------------------------------------------
+# the two engines in blocks == the same engines on slices, bit for bit
+# ---------------------------------------------------------------------------
+
+BLOCKED = 5 * _BLOCK // 2 + 1    # two full blocks, a half block and one element
+
+
+def blocked_inputs():
+    rng = np.random.default_rng(26)
+    y = rng.uniform(-3.0, 3.0, BLOCKED)
+    tau = rng.uniform(1e-3, 0.5, BLOCKED)
+    expired = tau.copy()
+    expired[rng.choice(BLOCKED, BLOCKED // 5, replace=False)] = 0.0
+    k1 = rng.uniform(-2.0, 6.0, BLOCKED)
+    k2 = rng.uniform(-1.0, 5.0, BLOCKED)
+    return y, tau, expired, k1, k2
+
+
+def sliced(engine, y, tau, k1, k2, *rest):
+    # slices of a few thousand elements that straddle the block edges, each one block or less
+    edges = np.linspace(0, BLOCKED, 8).astype(int)
+    return np.concatenate([
+        engine(y[a:b], tau if np.ndim(tau) == 0 else tau[a:b],
+               GeneralizedReducedParams(k1 if np.ndim(k1) == 0 else k1[a:b],
+                                        k2 if np.ndim(k2) == 0 else k2[a:b]), *rest)
+        for a, b in zip(edges[:-1], edges[1:])])
+
+
+# the exact solution requires tau > 0, so only the series sees expired elements
+ENGINE_CASES = [("exact", reduced_exact_u, (), case)
+                for case in ("array-k", "array-tau", "all-arrays")] + [
+    (name, hpm_reduced_sum, rest, case)
+    for name, rest in (("series", ()), ("series-order-3", (3,)))
+    for case in ("array-k", "array-tau", "expired-tau", "all-arrays")]
+
+
+@pytest.mark.parametrize("engine, rest, case", [c[1:] for c in ENGINE_CASES],
+                         ids=[f"{c[0]}-{c[3]}" for c in ENGINE_CASES])
+def test_engines_in_blocks_equal_their_slices(engine, rest, case):
+    y, tau, expired, k1, k2 = blocked_inputs()
+    args = {"array-k": (y, 0.02, k1, 1.3), "array-tau": (y, tau, 0.7, 1.3),
+            "expired-tau": (y, expired, 0.7, k2), "all-arrays": (y, tau, k1, k2)}[case]
+    whole = engine(args[0], args[1], GeneralizedReducedParams(*args[2:]), *rest)
+    assert whole.shape == (BLOCKED,)
+    assert whole.tobytes() == sliced(engine, *args, *rest).tobytes()
+
+
+@pytest.mark.parametrize("engine", [reduced_exact_u, hpm_reduced_sum])
+def test_engines_in_blocks_equal_their_rows_on_a_2d_broadcast(engine):
+    # (n, 1) against (1, m): one output of n * m = 2.5 blocks + 3 elements, and each
+    # row its own call of m elements
+    rng = np.random.default_rng(7)
+    n, m = 137, 299
+    y = rng.uniform(-2.0, 2.0, (n, 1))
+    tau = rng.uniform(1e-3, 0.3, (1, m))
+    k = rng.uniform(0.0, 4.0, (n, 1))
+    grid = engine(y, tau, GeneralizedReducedParams(k, 1.5))
+    assert grid.shape == (n, m) and grid.size > 2 * _BLOCK
+    rows = [engine(y[i], tau[0], GeneralizedReducedParams(k[i], 1.5)) for i in range(n)]
+    assert grid.tobytes() == np.stack(rows).tobytes()
+
+
+def test_engines_in_blocks_name_the_first_bad_element():
+    y, tau, _, k1, _ = blocked_inputs()
+    k1[2 * _BLOCK + 17] = 3e51      # in the third block
+    k1[2 * _BLOCK + 900] = 7e60
+    for params in (GeneralizedReducedParams(k1, 1.0), GeneralizedReducedParams(1.0, k1)):
+        with pytest.raises(ValueError, match=r"must not exceed 1e50, got 3e\+51$"):
+            hpm_reduced_sum(y, tau, params)
+    y[-1] = 1e60 * tau[-1]          # the last element of the last block
+    with pytest.raises(ValueError, match="hpm_reduced_sum: coordinate must be finite"):
+        hpm_reduced_sum(y, tau ** 2, GeneralizedReducedParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("engine", [reduced_exact_u, hpm_reduced_sum])
+def test_engines_in_blocks_hold_the_output_and_one_block(engine):
+    # tracemalloc sees numpy's buffers: a whole-array engine holds ~10 temporaries of
+    # the input's size at once, a blocked one its output and one block's temporaries
+    y = np.linspace(-1.0, 1.0, 200_000)
+    params = GeneralizedReducedParams(0.7, 1.3)
+    engine(y, 0.02, params)
+    tracemalloc.start()
+    try:
+        out = engine(y, 0.02, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 3 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,22 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "single", "--rate", "-10", "--maturity", "100"],
+    ["price", "basket", "--rate", "-10", "--maturity", "100"],
+    ["price", "quanto", "--r1", "-10", "--maturity", "100"],
+    ["grid", "single", "--axis", "rate", "--start", "-10", "--stop", "-9", "--points", "3",
+     "--maturity", "100"],
+    ["figure", "1", "--rate", "-10", "--maturity", "100"],
+], ids=["single", "basket", "quanto", "grid", "figure"])
+def test_overflowing_discount_factor_exits_2(argv, tmp_path, capsys):
+    # a discount factor near e^{1000} is past float range: an input error, not a crash
+    out = tmp_path / "out.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] != "price" else [])) == 2
+    assert not out.exists()
+    assert re.search(r"error: exp\(100[01]\.0\) is out of float range", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

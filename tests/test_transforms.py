@@ -9,10 +9,12 @@ from putpricer.transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
+    _libm,
     basket_reduced_params,
     reduce_basket,
     reduce_quanto,
     to_dimensionless,
+    to_dimensionless_arrays,
 )
 
 SECTION5 = dict(spot=40.0, strike=40.0, rate=0.05, vol=0.324336, maturity=0.5)
@@ -49,6 +51,27 @@ def test_dimensionless_section5_parameters():
 def test_dimensionless_log_moneyness():
     spec = VanillaOptionSpec(**{**SECTION5, "spot": 80.0})
     assert to_dimensionless(spec).x == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+def test_log_moneyness_is_libm_log_per_element_and_minus_inf_at_zero_ratio():
+    # 5e-324 / 40 underflows to 0, which is the zero-spot limit as well
+    spots = np.array([[0.0, 1e-310, 40.0], [37.3, 80.0, 5e-324]])
+    x = to_dimensionless_arrays(VanillaOptionSpec(**{**SECTION5, "spot": spots}))[0]
+    ratios = (spots / 40.0).tolist()
+    assert x.tolist() == [[math.log(r) if r > 0.0 else -math.inf for r in row] for row in ratios]
+    for spot, value in zip(spots.ravel().tolist(), x.ravel().tolist()):
+        one = to_dimensionless_arrays(VanillaOptionSpec(**{**SECTION5, "spot": spot}))[0]
+        assert type(one) is np.float64 and one == value
+
+
+def test_libm_overflow_names_the_function_and_the_argument():
+    with pytest.raises(ValueError, match=r"^exp\(1000\.0\) is out of float range$"):
+        _libm(math.exp, 1000.0)
+    with pytest.raises(ValueError, match=r"^exp\(1200\.0\) is out of float range$"):
+        _libm(math.exp, np.array([[1.0, 800.0], [1200.0, -5.0]]))
+    values = np.array([[1.0, 2.5], [-700.0, 0.0]])
+    assert _libm(math.exp, values).tolist() == [[math.exp(v) for v in row]
+                                                 for row in values.tolist()]
 
 
 def test_deep_itm_limit_matches_discounting_boundary():
