@@ -30,10 +30,11 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoReduction,
     QuantoSpec,
+    ReducedContract,
     ReducedCoordinates,
     VanillaOptionSpec,
-    basket_reduced_params,
     reduce_basket,
+    reduce_contract,
     reduce_quanto,
     to_dimensionless,
 )
@@ -48,10 +49,10 @@ __all__ = [
     "PriceSurface",
     "QuantoReduction",
     "QuantoSpec",
+    "ReducedContract",
     "ReducedCoordinates",
     "VanillaOptionSpec",
     "basket_put_exact",
-    "basket_reduced_params",
     "bs_put",
     "cn_solve",
     "erf",
@@ -67,6 +68,7 @@ __all__ = [
     "price_single_hpm2",
     "quanto_put_exact",
     "reduce_basket",
+    "reduce_contract",
     "reduce_quanto",
     "reduced_exact_u",
     "single_asset_term",

@@ -70,9 +70,8 @@ def basket_put_exact(spec: BasketSpec):
     geometric basket of lognormal assets is lognormal for every n, so the
     formula holds for any number of assets.
     """
-    geo = geometric_mean(spec)
-
     def live(t_rem):
+        geo = geometric_mean(spec)
         red = reduce_basket(spec)
         _require(red.sigma_hat > 0.0,
                  "degenerate basket volatility: sigma_hat must be positive, got {}",
@@ -88,7 +87,7 @@ def basket_put_exact(spec: BasketSpec):
         )
         return _clamp_tiny_negative(value, spec.strike)
 
-    return _price_or_payoff(spec, lambda: np.maximum(spec.strike - geo, 0.0), live)
+    return _price_or_payoff(spec, live)
 
 
 def quanto_put_exact(spec: QuantoSpec):
@@ -113,7 +112,7 @@ def quanto_put_exact(spec: QuantoSpec):
         )
         return _clamp_tiny_negative(value, spec.strike * s2)
 
-    return _price_or_payoff(spec, lambda: s2 * np.maximum(spec.strike - s1, 0.0), live)
+    return _price_or_payoff(spec, live)
 
 
 def reduced_exact_u(y, tau, params: GeneralizedReducedParams):

@@ -31,6 +31,8 @@ side by side) and the term evaluators (one row per order).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .special_functions import SQRT_PI, _blockwise, _result, erfc, erfcx
@@ -40,17 +42,10 @@ from .transforms import (
     QuantoSpec,
     VanillaOptionSpec,
     _is_float,
-    _libm,
     _live_time,
-    _log_moneyness,
     _price_or_payoff,
     _require,
-    _square,
-    basket_reduced_params,
-    geometric_mean,
-    reduce_basket,
-    reduce_quanto,
-    to_dimensionless_arrays,
+    reduce_contract,
 )
 
 MAX_ORDER = 6  # retained terms f_0 .. f_5
@@ -335,55 +330,57 @@ def _reduced_sum(y_arr, tau_arr, k1, k2, order):
 # ---------------------------------------------------------------------------
 
 
+def _series_price(spec, order):
+    """`scale * v` of `reduce_contract(spec)` summed to `order` terms, clamped to be nonnegative.
+
+    Expired baskets and quantos pay their payoff unreduced.  A single asset is
+    always reduced: at tau = 0 the series pays max(1 - e^y, 0), and at spot 0
+    (y = -inf, which only it admits) before expiry the series' limit: the
+    even-order sum tends to -inf and clamps to 0, the odd-order one raises.
+    """
+    _check_order(order)
+    single = isinstance(spec, VanillaOptionSpec)
+
+    def live(_):    # tau is the spec's; `_price_or_payoff` replaces the expired, tau = 0
+        red = reduce_contract(spec)
+        y, at_zero = red.y, (red.y == -math.inf) & (red.tau > 0.0)
+        if single and at_zero.any():
+            if order % 2 != 0:
+                raise ValueError("the odd-order series is unbounded at spot 0; use an even "
+                                 "order or start the grid above 0")
+            y = np.where(at_zero, 0.0, y)
+        else:
+            at_zero = None
+        price = np.maximum(red.scale * hpm_reduced_sum(y, red.tau, red.params, order), 0.0)
+        return price if at_zero is None else np.where(at_zero, 0.0, price)
+
+    return _result(live(None)) if single else _price_or_payoff(spec, live)
+
+
 def price_single_hpm1(spec: VanillaOptionSpec):
     """Naive-series put price K max(e^{-k tau} - S/K, 0); spot 0 is allowed.
 
     Any field of `spec` may be an array, one contract per element.
     """
-    x, tau, k = to_dimensionless_arrays(spec)
-    return spec.strike * hpm1_reduced(x, tau, k)
+    red = reduce_contract(spec)
+    return red.scale * hpm1_reduced(red.y, red.tau, red.params.k2)
 
 
 def price_single_hpm2(spec: VanillaOptionSpec, order: int = MAX_ORDER):
     """Smoothed-series put price, clamped to be nonnegative.
 
     Any field of `spec` may be an array, one contract per element.  At spot
-    0 before expiry the even-order series tends to -inf and clamps to 0;
-    the odd-order one is unbounded and raises.
+    0 before expiry an even order clamps to 0 and an odd one raises.
     """
-    _check_order(order)
-    x, tau, k = to_dimensionless_arrays(spec)
-    at_zero = np.isneginf(x) & (tau > 0.0)
-    any_zero = bool(at_zero.any())
-    if any_zero:
-        if order % 2 != 0:
-            raise ValueError(
-                "the odd-order series is unbounded at spot 0; use an even order or "
-                "start the grid above 0"
-            )
-        x = np.where(at_zero, 0.0, x)
-    v = hpm_reduced_sum(x, tau, GeneralizedReducedParams(k1=k, k2=k), order)
-    price = np.maximum(spec.strike * v, 0.0)
-    return _result(np.where(at_zero, 0.0, price) if any_zero else price)
+    return _series_price(spec, order)
 
 
 def price_basket_hpm(spec: BasketSpec, order: int = MAX_ORDER):
     """Series price of a geometric basket put over the spot vectors along the last axis.
 
-    The basket reduces to the dimensionless (k1, k2) equation in the
-    coordinate xi = sum alpha_i ln(S_i/K).  The scalar fields and the
-    covariance stack of `spec` may be arrays.
+    The scalar fields and the covariance stack of `spec` may be arrays.
     """
-    _check_order(order)
-
-    def live(t_rem):
-        red = reduce_basket(spec)
-        tau = 0.5 * _libm(_square, red.sigma_hat) * t_rem
-        v = hpm_reduced_sum(red.xi, tau, basket_reduced_params(red, spec.rate), order)
-        return np.maximum(spec.strike * v, 0.0)
-
-    return _price_or_payoff(
-        spec, lambda: np.maximum(spec.strike - geometric_mean(spec), 0.0), live)
+    return _series_price(spec, order)
 
 
 def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER):
@@ -392,15 +389,4 @@ def price_quanto_hpm(spec: QuantoSpec, order: int = MAX_ORDER):
     The reduced strike E/S2 is taken at valuation time, so the pipeline is
     deterministic; accuracy is judged against the exact formula.
     """
-    _check_order(order)
-    s1, s2 = spec.s1, spec.s2
-
-    def live(t_rem):
-        red = reduce_quanto(spec)
-        params = GeneralizedReducedParams(k1=red.k1, k2=red.k2)
-        v = hpm_reduced_sum(_log_moneyness(s1, spec.strike),
-                            0.5 * red.sigma_hat_sq * t_rem, params, order)
-        strike_reduced = spec.strike / s2
-        return np.maximum(s2 * s2 * strike_reduced * v, 0.0)
-
-    return _price_or_payoff(spec, lambda: s2 * np.maximum(spec.strike - s1, 0.0), live)
+    return _series_price(spec, order)

@@ -76,17 +76,25 @@ _BLOCK = 16384   # 128 KB per float64 temporary, glibc's default mmap threshold
 
 def _blockwise(body, *args):
     """body(*args) for an elementwise body, in order over blocks of at most `_BLOCK` elements:
-    each array argument arrives broadcast, flat and sliced, a 0-d one whole,
-    and each block is written into one output of the broadcast shape.
+    whole rows of the leading axis, or a longer row cut into blocks of its own.  Each
+    array argument arrives sliced from its broadcast view and flat, so only a block of
+    it is ever copied, a 0-d one whole; each block is written into one output.
     """
     grid = np.broadcast(*args)
     if grid.size <= _BLOCK:
         return body(*args)
-    flat = [a if np.ndim(a) == 0 else np.broadcast_to(a, grid.shape).reshape(-1) for a in args]
+    views = [None if np.ndim(a) == 0 else np.broadcast_to(a, grid.shape) for a in args]
+    row = grid.size // grid.shape[0]
+    step = max(_BLOCK // row, 1)
     out = np.empty(grid.size)
-    for start in range(0, grid.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[block] = body(*(a if np.ndim(a) == 0 else a[block] for a in flat))
+    for start in range(0, grid.shape[0], step):
+        # the block's arguments, then its values
+        block = [a if v is None else v[start:start + step] for a, v in zip(args, views)]
+        if row > _BLOCK:    # one row, in blocks of its own
+            block = _blockwise(body, *(b if v is None else b[0] for b, v in zip(block, views)))
+        else:
+            block = body(*(b if v is None else b.reshape(-1) for b, v in zip(block, views)))
+        out[start * row:(start + step) * row] = block.reshape(-1)
     return out.reshape(grid.shape)
 
 

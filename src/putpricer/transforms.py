@@ -8,7 +8,8 @@ convection-diffusion-reaction equation
 parameterized by the pair (k1, k2).  The single-asset reduction gives
 k1 = k2 = 2r/sigma^2; the geometric-basket and quanto reductions below
 produce their own effective volatility, carry and discount parameters and
-land on the same equation.  All functions are pure.
+land on the same equation.  `reduce_contract` is the one map from a
+contract to its coordinates, pair and price scale.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .special_functions import _result
 
 def _is_float(value):
     return isinstance(value, (float, int))
-
-
-def _finite(value):
-    return math.isfinite(value) if _is_float(value) else np.isfinite(value)
 
 
 def _require(ok, message, *values):
@@ -226,11 +223,10 @@ class QuantoSpec:
 
 @dataclass(frozen=True)
 class BasketReduction:
-    """Effective volatility, carry and composite coordinate of a basket."""
+    """Effective volatility and carry of a basket."""
 
     sigma_hat: float
     q_hat: float
-    xi: float
 
 
 @dataclass(frozen=True)
@@ -240,8 +236,16 @@ class QuantoReduction:
     sigma_hat_sq: float
     q_hat: float
     r_hat: float
-    k1: float
-    k2: float
+
+
+@dataclass(frozen=True)
+class ReducedContract:
+    """A contract's price `scale * u(y, tau)` on the reduced equation of `params`."""
+
+    y: float
+    tau: float
+    params: GeneralizedReducedParams
+    scale: float
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +297,9 @@ def _live_time(t_rem):
     return np.where(expired, 1.0, t_rem), expired
 
 
-def _price_or_payoff(spec, payoff, price):
-    """`price(t)` over the live contracts of `spec`, `payoff()` where they have expired.
+def _price_or_payoff(spec, price):
+    """`price(t)` over the live contracts of a basket or quanto `spec`, the payoff where
+    they have expired.
 
     `t` is the time remaining with every expired element set to 1; where
     every contract has expired, `price` is not called.
@@ -302,7 +307,8 @@ def _price_or_payoff(spec, payoff, price):
     t_rem, expired = _live_time(spec.time_remaining)
     if expired is None:
         return _result(price(t_rem))
-    value = payoff()
+    value = (np.maximum(spec.strike - geometric_mean(spec), 0.0) if isinstance(spec, BasketSpec)
+             else spec.s2 * np.maximum(spec.strike - spec.s1, 0.0))
     if np.all(expired):
         return _result(np.broadcast_to(value, _contract_shape(spec)).copy())
     return _result(np.where(expired, value, price(t_rem)))
@@ -316,35 +322,11 @@ def _contract_shape(spec):
     return np.broadcast_shapes(*shapes)
 
 
-def to_dimensionless_arrays(spec: VanillaOptionSpec):
-    """(x, tau, k) of `to_dimensionless` over the spec's fields, arrays included.
-
-    Spot 0 maps to x = -inf.  A vol whose square underflows, or leaves
-    2r/vol^2 non-finite, raises.
-    """
-    vol_sq = spec.vol * spec.vol
-    _require(vol_sq > 0.0, "vol {} is too small: vol^2 underflows to zero", spec.vol)
-    k = 2.0 * spec.rate / vol_sq
-    _require(_finite(k), "vol {} is too small: 2 rate / vol^2 is not finite", spec.vol)
-    return (
-        _log_moneyness(spec.spot, spec.strike),
-        0.5 * spec.vol * spec.vol * spec.time_remaining,
-        k,
-    )
-
-
-def to_dimensionless(spec: VanillaOptionSpec) -> ReducedCoordinates:
-    """Map a vanilla contract to (x, tau, k) = (ln(S/K), sigma^2(T-t)/2, 2r/sigma^2)."""
-    x, tau, k = to_dimensionless_arrays(spec)
-    return ReducedCoordinates(x=float(x), tau=float(tau), k=k)
-
-
 def reduce_basket(spec: BasketSpec) -> BasketReduction:
     """Collapse a geometric basket to its effective single-asset parameters.
 
     sigma_hat^2 = sum a_ij alpha_i alpha_j,
-    q_hat = sum alpha_i (q_i + a_ii / 2) - sigma_hat^2 / 2,
-    xi = sum alpha_i ln(S_i / K).
+    q_hat = sum alpha_i (q_i + a_ii / 2) - sigma_hat^2 / 2.
 
     Over a stack of covariances each field holds one value per matrix.
     """
@@ -354,23 +336,7 @@ def reduce_basket(spec: BasketSpec) -> BasketReduction:
     sigma_hat_sq = _result(np.maximum(alpha @ cov @ alpha, 0.0))
     diag = np.diagonal(cov, axis1=-2, axis2=-1)
     q_hat = _result((spec.dividends + 0.5 * diag) @ alpha - 0.5 * sigma_hat_sq)
-    xi = _result(basket_coordinate(spec))
-    return BasketReduction(sigma_hat=_libm(math.sqrt, sigma_hat_sq), q_hat=q_hat, xi=xi)
-
-
-def basket_coordinate(spec: BasketSpec):
-    """xi = sum alpha_i ln(S_i / K) over the spot vectors along the last axis of `spec.spots`.
-
-    Summed asset by asset in elementwise operations, so every element has
-    the same bits whatever the shape of the spots; a BLAS dot fuses
-    multiply-adds differently for one vector than for a matrix of them.
-    """
-    strike = spec.strike if _is_float(spec.strike) else spec.strike[..., None]
-    logs = np.log(spec.spots / strike)
-    xi = logs[..., 0] * spec.weights[0]
-    for i in range(1, spec.n):
-        xi = xi + logs[..., i] * spec.weights[i]
-    return xi
+    return BasketReduction(sigma_hat=_libm(math.sqrt, sigma_hat_sq), q_hat=q_hat)
 
 
 def geometric_mean(spec: BasketSpec):
@@ -378,20 +344,12 @@ def geometric_mean(spec: BasketSpec):
     return np.prod(spec.spots ** spec.weights, axis=-1)
 
 
-def basket_reduced_params(red: BasketReduction, rate: float) -> GeneralizedReducedParams:
-    """(k1, k2) of the basket route: k1 = 2(r - q_hat)/sigma_hat^2, k2 = 2r/sigma_hat^2."""
-    s2 = red.sigma_hat * red.sigma_hat
-    _require(s2 > 0, "basket reduction is degenerate: sigma_hat^2 must be positive, got {}", s2)
-    return GeneralizedReducedParams(k1=2.0 * (rate - red.q_hat) / s2, k2=2.0 * rate / s2)
-
-
 def reduce_quanto(spec: QuantoSpec) -> QuantoReduction:
     """Collapse a quanto contract to effective single-asset parameters.
 
     sigma_hat^2 = sigma1^2 - 2 rho sigma1 sigma2 + sigma2^2,
     q_hat = 2 r2 - r1 - q - sigma2^2,
-    r_hat = r1 - 2 r2 + sigma2^2,
-    and the reduced pair k1 = 2 q_hat / sigma_hat^2, k2 = 2 r_hat / sigma_hat^2.
+    r_hat = r1 - 2 r2 + sigma2^2.
     """
     s2sq = spec.sigma2 * spec.sigma2
     sigma_hat_sq = spec.sigma1 * spec.sigma1 - 2.0 * spec.rho * spec.sigma1 * spec.sigma2 + s2sq
@@ -400,10 +358,55 @@ def reduce_quanto(spec: QuantoSpec) -> QuantoReduction:
              "must be positive, got {}", sigma_hat_sq)
     q_hat = 2.0 * spec.r2 - spec.r1 - spec.q - s2sq
     r_hat = spec.r1 - 2.0 * spec.r2 + s2sq
-    return QuantoReduction(
-        sigma_hat_sq=sigma_hat_sq,
-        q_hat=q_hat,
-        r_hat=r_hat,
-        k1=2.0 * q_hat / sigma_hat_sq,
-        k2=2.0 * r_hat / sigma_hat_sq,
-    )
+    return QuantoReduction(sigma_hat_sq=sigma_hat_sq, q_hat=q_hat, r_hat=r_hat)
+
+
+def reduce_contract(spec) -> ReducedContract:
+    """The one map of a single-asset, basket or quanto contract onto the reduced equation.
+
+    contract  y                      tau          k1                k2             scale
+    single    ln(S/K)                vol^2 t / 2  2r / vol^2        2r / vol^2     K
+    basket    sum alpha_i ln(S_i/K)  s^2 t / 2    2(r - q_hat)/s^2  2r / s^2       K
+    quanto    ln(S1/E)               s^2 t / 2    2 q_hat / s^2     2 r_hat / s^2  S2^2 (E/S2)
+
+    t = T - t_valuation; s^2 = sigma_hat^2 of `reduce_basket` or `reduce_quanto`.  Spot 0
+    maps to y = -inf; a vol whose square vanishes or leaves k non-finite raises ValueError.
+    """
+    if isinstance(spec, BasketSpec):
+        red = reduce_basket(spec)
+        # tau squares sigma_hat through libm and k by a product: each keeps its former bits
+        tau = 0.5 * _libm(_square, red.sigma_hat) * spec.time_remaining
+        s2 = red.sigma_hat * red.sigma_hat
+        _require(s2 > 0, "basket reduction is degenerate: sigma_hat^2 must be positive, got {}",
+                 s2)
+        params = GeneralizedReducedParams(2.0 * (spec.rate - red.q_hat) / s2, 2.0 * spec.rate / s2)
+        # y summed asset by asset, elementwise, so that an element's bits do not depend on
+        # the shape of the spots, as a BLAS dot's would
+        strike = spec.strike if _is_float(spec.strike) else spec.strike[..., None]
+        logs = np.log(spec.spots / strike)
+        y = logs[..., 0] * spec.weights[0]
+        for i in range(1, spec.n):
+            y = y + logs[..., i] * spec.weights[i]
+        return ReducedContract(_result(y), tau, params, spec.strike)
+    if isinstance(spec, QuantoSpec):
+        red = reduce_quanto(spec)
+        params = GeneralizedReducedParams(k1=2.0 * red.q_hat / red.sigma_hat_sq,
+                                          k2=2.0 * red.r_hat / red.sigma_hat_sq)
+        s2 = spec.s2
+        scale = s2 * s2 * (spec.strike / s2)   # the bits of the reduced strike E/S2 times S2^2
+        return ReducedContract(_log_moneyness(spec.s1, spec.strike),
+                               0.5 * red.sigma_hat_sq * spec.time_remaining, params, scale)
+    vol_sq = spec.vol * spec.vol
+    _require(vol_sq > 0.0, "vol {} is too small: vol^2 underflows to zero", spec.vol)
+    k = 2.0 * spec.rate / vol_sq
+    _require(math.isfinite(k) if _is_float(k) else np.isfinite(k),
+             "vol {} is too small: 2 rate / vol^2 is not finite", spec.vol)
+    return ReducedContract(_log_moneyness(spec.spot, spec.strike),
+                           0.5 * spec.vol * spec.vol * spec.time_remaining,
+                           GeneralizedReducedParams(k1=k, k2=k), spec.strike)
+
+
+def to_dimensionless(spec: VanillaOptionSpec) -> ReducedCoordinates:
+    """(x, tau, k) = (ln(S/K), sigma^2(T-t)/2, 2r/sigma^2) of one vanilla contract."""
+    red = reduce_contract(spec)
+    return ReducedCoordinates(x=float(red.y), tau=float(red.tau), k=red.params.k1)

@@ -5,12 +5,15 @@ finite-difference PDE solves against the closed forms, the coefficients of
 the series terms' polynomial factors against the recursion's exact
 identities, the terms against deep-tail combinatorics, the series sum at
 short time against the exact solution, the special functions against
-series/quadrature.  A route is independent of the
-formula it checks, not of every line of the library: every quanto check
-(the CN solve, the internal-consistency route, the error surface) starts
-from `reduce_quanto`'s parameters, so nothing here checks that reduction
-against the two-asset model itself.  The CN solver's boundary values are the
-payoff's deep-tail asymptote, and it refuses a grid too narrow for them.
+series/quadrature.  A check that needs a contract's (y, tau, k1, k2, scale)
+reads it from `reduce_contract`, the map of every series price, so the CN
+checks hold that map against the market-variable closed forms.  A route is
+independent of the formula it checks, not of every line of the library:
+every quanto check (the CN solve, the internal-consistency route, the error
+surface) starts from `reduce_quanto`'s parameters, as the quanto closed form
+does, so nothing here checks that reduction against the two-asset model
+itself.  The CN solver's boundary values are the payoff's deep-tail
+asymptote, and it refuses a grid too narrow for them.
 `run_all` powers both the CLI `validate` command and the acceptance tests.
 
 Every oracle runs as array calls, with no loop over points: random
@@ -37,6 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hpm_series
+from .config import DEFAULT_BASKET, DEFAULT_QUANTO, DEFAULT_SINGLE
 from .exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
 from .pde_oracle import _richardson_at_zero
 from .special_functions import erf, normal_cdf
@@ -45,10 +49,8 @@ from .transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
-    basket_reduced_params,
-    reduce_basket,
+    reduce_contract,
     reduce_quanto,
-    to_dimensionless_arrays,
 )
 
 # frozen regression constants
@@ -57,10 +59,8 @@ EPS1_HPM2_MAX_ERROR = 38.01239648113331       # max |hpm2(6) - exact| on S in [1
 EPS2_QUANTO_SURFACE = 0.0029262086729886505   # max |hpm - exact| on [20, 60]^2
 EPS3_BASKET_SURFACE = 0.00029932999129300697  # max |hpm - exact| on [20, 60]^2
 
-SECTION5 = dict(strike=40.0, rate=0.05, vol=0.324336, maturity=0.5)
-FIG5 = dict(sigma1=0.1, sigma2=0.3, rho=1.0, r1=0.03, r2=0.05, q=0.0,
-            strike=40.0, maturity=0.5)
-FIG3_COV = ((0.01, 0.0), (0.0, 0.09))
+# the Section-5 put without its spot; it and the figure contracts are the CLI's defaults
+SECTION5 = {name: DEFAULT_SINGLE[name] for name in ("strike", "rate", "vol", "maturity")}
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,11 @@ class CheckResult:
 
 
 def _fig3_basket():
-    return BasketSpec(
-        spots=np.array([40.0, 40.0]), weights=np.array([0.5, 0.5]),
-        dividends=np.zeros(2), covariance=np.array(FIG3_COV),
-        rate=0.05, strike=40.0, maturity=0.5,
-    )
+    return BasketSpec(**DEFAULT_BASKET)
 
 
 def _fig5_quanto():
-    return QuantoSpec(s1=40.0, s2=40.0, **FIG5)
+    return QuantoSpec(**DEFAULT_QUANTO)
 
 
 def _tol(bound, profile, floor=0.0):
@@ -211,19 +207,14 @@ def check_cn_cross_validation(profile="default"):
     drawn = _uniform(np.random.default_rng(31).random((5, len(fields))), lo, hi)
     columns = dict(zip(fields, np.vstack([[SECTION5[f] for f in fields], drawn]).T))
     singles = VanillaOptionSpec(spot=columns["strike"], **columns)
-    _, tau, k = to_dimensionless_arrays(singles)
-    contracts = [*zip(k, k, tau, bs_put(singles) / singles.strike)]
-    qspec = _fig5_quanto()
-    red = reduce_quanto(qspec)
-    contracts.append((red.k1, red.k2, 0.5 * red.sigma_hat_sq * qspec.time_remaining,
-                      quanto_put_exact(qspec) / (qspec.strike * qspec.s2)))
-    bspec = _fig3_basket()
-    bred = reduce_basket(bspec)
-    bparams = basket_reduced_params(bred, bspec.rate)
-    contracts.append((bparams.k1, bparams.k2, 0.5 * bred.sigma_hat**2 * bspec.time_remaining,
-                      basket_put_exact(bspec) / bspec.strike))
+    contracts = []
+    for spec, price in ((singles, bs_put), (_fig5_quanto(), quanto_put_exact),
+                        (_fig3_basket(), basket_put_exact)):
+        red = reduce_contract(spec)
+        contracts.append(np.atleast_1d(red.params.k1, red.params.k2, red.tau,
+                                       price(spec) / red.scale))
 
-    k1, k2, tau, exact = np.array(contracts).T
+    k1, k2, tau, exact = np.concatenate(contracts, axis=1)
     gaps = np.abs(_richardson_at_zero(GeneralizedReducedParams(k1, k2), tau, n) - exact)
     return [CheckResult(f"cn-vs-exact-{name}", gap, f"<= {bound:.1e}", gap <= bound)
             for name, gap in (("single", float(gaps[0])), ("random", float(gaps[1:6].max())),
@@ -256,13 +247,9 @@ def check_quanto_internal_consistency(profile="default"):
         u = rng.random((1100, len(_QUANTO_DRAWS)))
         kept = np.concatenate([kept, u[reduce_quanto(_quanto_contracts(u)).sigma_hat_sq > 1e-4]])
     spec = _quanto_contracts(kept[:1000])
-    red = reduce_quanto(spec)
+    red = reduce_contract(spec)
     price = quanto_put_exact(spec)
-    routed = spec.s2 * spec.s2 * (spec.strike / spec.s2) * reduced_exact_u(
-        np.log(spec.s1 / spec.strike),
-        0.5 * red.sigma_hat_sq * spec.time_remaining,
-        GeneralizedReducedParams(red.k1, red.k2),
-    )
+    routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
     priced = price > 1e-12
     worst = float(np.max(np.abs(price - routed)[priced] / price[priced], initial=0.0))
     bound = _tol(1e-10, profile)
@@ -287,8 +274,8 @@ def check_degenerations(profile="default"):
     )
     reference = bs_put(spec)
     worst_basket = float(np.abs(basket_put_exact(basket) - reference).max())
-    x, tau, k = to_dimensionless_arrays(spec)
-    routed = spec.strike * reduced_exact_u(x, tau, GeneralizedReducedParams(k, k))
+    red = reduce_contract(spec)
+    routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
     worst_reduced = float(np.abs(routed - reference).max())
     return [
         CheckResult("degeneration-basket-n1", worst_basket, f"<= {bound:.1e}",
@@ -341,8 +328,8 @@ def check_hpm2_accuracy(profile="default"):
 
 def check_smoothness_contrast(profile="default"):
     spec = VanillaOptionSpec(spot=40.0, **SECTION5)
-    _, tau, k = to_dimensionless_arrays(spec)
-    kink = 40.0 * math.exp(-k * tau)
+    red = reduce_contract(spec)
+    kink = red.scale * math.exp(-red.params.k2 * red.tau)
     h = 1e-6
     up, at, down = hpm_series.price_single_hpm1(
         replace(spec, spot=np.array([kink + h, kink, kink - h])))

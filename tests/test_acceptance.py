@@ -13,6 +13,7 @@ expects an AssertionError, so an error unrelated to the math still fails.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from putpricer.transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
+    reduce_contract,
     reduce_quanto,
-    to_dimensionless,
 )
 from putpricer.exact_pricing import basket_put_exact, bs_put, quanto_put_exact, reduced_exact_u
 from putpricer.special_functions import erf, normal_cdf
@@ -71,6 +72,20 @@ def test_cn_check_catches_a_closed_form_off_by_1e_5_relative(monkeypatch):
     single = validation.check_cn_cross_validation("strict")[0]
     assert single.name == "cn-vs-exact-single"
     assert not single.passed, single
+
+
+def test_cn_check_catches_a_basket_tau_off_by_1e_3_relative(monkeypatch):
+    # the Crank-Nicolson side solves at the reduction's tau and the closed form
+    # prices in market variables, so an error in the one reduction shows
+    def mutated(spec):
+        red = reduce_contract(spec)
+        return replace(red, tau=red.tau * 1.001) if isinstance(spec, BasketSpec) else red
+
+    monkeypatch.setattr(validation, "reduce_contract", mutated)
+    for profile in ("default", "strict"):
+        basket = validation.check_cn_cross_validation(profile)[-1]
+        assert basket.name == "cn-vs-exact-basket"
+        assert not basket.passed, basket
 
 
 def test_criterion_04_quanto_internal_consistency():
@@ -280,16 +295,12 @@ def _loop_quanto_internal_consistency(profile):
             r2=float(rng.uniform(0.0, 0.1)), q=float(rng.uniform(0.0, 0.05)),
             strike=float(rng.uniform(25, 70)), maturity=float(rng.uniform(0.1, 2.0)),
         )
-        red = reduce_quanto(spec)
-        if red.sigma_hat_sq <= 1e-4:
+        if reduce_quanto(spec).sigma_hat_sq <= 1e-4:
             continue
         checked += 1
         price = quanto_put_exact(spec)
-        routed = spec.s2 * spec.s2 * (spec.strike / spec.s2) * reduced_exact_u(
-            math.log(spec.s1 / spec.strike),
-            0.5 * red.sigma_hat_sq * spec.time_remaining,
-            GeneralizedReducedParams(red.k1, red.k2),
-        )
+        red = reduce_contract(spec)
+        routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
         if price > 1e-12:
             worst = max(worst, abs(price - routed) / price)
     bound = validation._tol(1e-10, profile)
@@ -316,10 +327,8 @@ def _loop_degenerations(profile):
         )
         reference = bs_put(spec)
         worst_basket = max(worst_basket, abs(basket_put_exact(basket) - reference))
-        rc = to_dimensionless(spec)
-        routed = spec.strike * reduced_exact_u(
-            rc.x, rc.tau, GeneralizedReducedParams(rc.k, rc.k)
-        )
+        red = reduce_contract(spec)
+        routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
         worst_reduced = max(worst_reduced, abs(routed - reference))
     return [
         validation.CheckResult("degeneration-basket-n1", worst_basket, f"<= {bound:.1e}",
@@ -358,8 +367,8 @@ def _loop_hpm2_accuracy(profile):
 
 
 def _loop_smoothness_contrast(profile):
-    rc = to_dimensionless(_section5_at(40.0))
-    kink = 40.0 * math.exp(-rc.k * rc.tau)
+    red = reduce_contract(_section5_at(40.0))
+    kink = red.scale * math.exp(-red.params.k2 * red.tau)
     h = 1e-6
 
     def hpm1(s):

@@ -296,6 +296,23 @@ def test_engines_in_blocks_equal_their_rows_on_a_2d_broadcast(engine):
     assert grid.tobytes() == np.stack(rows).tobytes()
 
 
+@pytest.mark.parametrize("engine", [reduced_exact_u, hpm_reduced_sum])
+def test_engines_cut_rows_longer_than_a_block_into_blocks_of_their_own(engine):
+    # (3, 1, 1) against (1, 2, m) with m > _BLOCK: every leading row, and every row of
+    # those, is longer than a block; each (i, j) row is its own call of m elements
+    rng = np.random.default_rng(11)
+    m = _BLOCK + 7
+    y = rng.uniform(-2.0, 2.0, (3, 1, 1))
+    tau = rng.uniform(1e-3, 0.3, (1, 2, m))
+    if engine is hpm_reduced_sum:
+        tau[0, :, ::5] = 0.0
+    grid = engine(y, tau, GeneralizedReducedParams(0.8, 1.5))
+    assert grid.shape == (3, 2, m)
+    rows = [[engine(y[i, 0, 0], tau[0, j], GeneralizedReducedParams(0.8, 1.5)) for j in range(2)]
+            for i in range(3)]
+    assert grid.tobytes() == np.array(rows).tobytes()
+
+
 def test_engines_in_blocks_name_the_first_bad_element():
     y, tau, _, k1, _ = blocked_inputs()
     k1[2 * _BLOCK + 17] = 3e51      # in the third block
@@ -322,6 +339,28 @@ def test_engines_in_blocks_hold_the_output_and_one_block(engine):
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 3 * 2**20
+
+
+def traced_peak(engine, y, tau, k):
+    params = GeneralizedReducedParams(k, 1.3)
+    engine(y, tau, params)
+    tracemalloc.start()
+    try:
+        engine(y, tau, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("engine", [reduced_exact_u, hpm_reduced_sum])
+def test_engines_on_a_2d_broadcast_hold_about_what_they_hold_on_1d(engine):
+    # (1000, 1) against (1, 200): each block is sliced from the broadcast views, so an
+    # argument is copied a block at a time (~0.35 MiB more than the same elements as
+    # 1-D arrays), not at the full shape (~4.6 MiB more)
+    args = (np.linspace(-1.0, 1.0, 1000)[:, None], np.linspace(0.005, 0.03, 200)[None, :],
+            np.linspace(0.2, 4.0, 1000)[:, None])
+    flat = [np.broadcast_to(a, (1000, 200)).reshape(-1) for a in args]
+    assert traced_peak(engine, *args) <= traced_peak(engine, *flat) + 2**20
 
 
 # ---------------------------------------------------------------------------

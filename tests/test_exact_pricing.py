@@ -16,10 +16,8 @@ from putpricer.transforms import (
     GeneralizedReducedParams,
     QuantoSpec,
     VanillaOptionSpec,
-    basket_reduced_params,
-    reduce_basket,
+    reduce_contract,
     reduce_quanto,
-    to_dimensionless,
 )
 
 SECTION5 = dict(spot=40.0, strike=40.0, rate=0.05, vol=0.324336, maturity=0.5)
@@ -124,10 +122,8 @@ def test_basket_payoff_at_expiry():
 
 def test_basket_fig3_regression_against_reduced_route():
     spec = make_basket()
-    red = reduce_basket(spec)
-    params = basket_reduced_params(red, spec.rate)
-    tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
-    routed = spec.strike * reduced_exact_u(red.xi, tau, params)
+    red = reduce_contract(spec)
+    routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
     assert basket_put_exact(spec) == pytest.approx(routed, abs=1e-12)
     # frozen by the CN oracle in the acceptance suite
     assert basket_put_exact(spec) == pytest.approx(1.4110392664949423, abs=1e-12)
@@ -154,26 +150,22 @@ def test_basket_closed_form_matches_reduced_route_for_three_to_five_assets():
     rng = np.random.default_rng(31)
     for n in (3, 4, 5):
         spec = random_basket(n, rng)
-        red = reduce_basket(spec)
-        params = basket_reduced_params(red, spec.rate)
-        tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
-        routed = spec.strike * reduced_exact_u(red.xi, tau, params)
+        red = reduce_contract(spec)
+        routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
         assert basket_put_exact(spec) > 1.0
         assert basket_put_exact(spec) == pytest.approx(routed, rel=1e-13, abs=0.0)
 
 
 def test_basket_closed_form_matches_cn_oracle_for_three_assets():
     spec = random_basket(3, np.random.default_rng(37), at_the_money=True)
-    red = reduce_basket(spec)
-    assert abs(red.xi) < 1e-15
-    params = basket_reduced_params(red, spec.rate)
-    tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
+    red = reduce_contract(spec)
+    assert abs(red.y) < 1e-15
     # the payoff kink sits at the compared node and tau is ~0.01: 800 nodes and
     # 800 steps alone are off by 2.6e-5 here; Richardson over 400 + 800 nodes
     # (100 + 200 steps) by 4.3e-8.  The extrapolated gap changes sign between
     # n = 200 (-6.3e-9) and n = 220 (4.4e-8)
-    u = _richardson_at_zero(params, tau, 400)
-    assert abs(u - basket_put_exact(spec) / spec.strike) < 1e-7
+    u = _richardson_at_zero(red.params, red.tau, 400)
+    assert abs(u - basket_put_exact(spec) / red.scale) < 1e-7
 
 
 def test_basket_correlated_identical_assets_match_reduced_route():
@@ -181,10 +173,8 @@ def test_basket_correlated_identical_assets_match_reduced_route():
     cov = sigma * sigma * np.ones((2, 2))
     for q in (0.0, 0.03):
         spec = make_basket(covariance=cov, dividends=np.full(2, q))
-        red = reduce_basket(spec)
-        params = basket_reduced_params(red, spec.rate)
-        tau = 0.5 * red.sigma_hat**2 * spec.time_remaining
-        routed = spec.strike * reduced_exact_u(red.xi, tau, params)
+        red = reduce_contract(spec)
+        routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
         assert basket_put_exact(spec) == pytest.approx(routed, abs=1e-12)
         if q == 0.0:
             vanilla = VanillaOptionSpec(spot=40.0, strike=40.0, rate=0.05,
@@ -222,13 +212,8 @@ def test_quanto_payoff_at_expiry():
 
 def test_quanto_fig5_regression_and_reduced_route():
     spec = QuantoSpec(**FIG5)
-    red = reduce_quanto(spec)
-    strike_reduced = spec.strike / spec.s2
-    y = math.log(spec.s1 / spec.strike)
-    tau = 0.5 * red.sigma_hat_sq * spec.time_remaining
-    routed = spec.s2**2 * strike_reduced * reduced_exact_u(
-        y, tau, GeneralizedReducedParams(red.k1, red.k2)
-    )
+    red = reduce_contract(spec)
+    routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
     price = quanto_put_exact(spec)
     assert price == pytest.approx(routed, rel=1e-12)
     # frozen by the CN oracle in the acceptance suite
@@ -246,15 +231,11 @@ def test_quanto_reduced_route_consistency_random():
             r2=float(rng.uniform(0, 0.1)), q=float(rng.uniform(0, 0.05)),
             strike=float(rng.uniform(25, 70)), maturity=float(rng.uniform(0.1, 2.0)),
         )
-        red = reduce_quanto(spec)
-        if red.sigma_hat_sq <= 1e-4:
+        if reduce_quanto(spec).sigma_hat_sq <= 1e-4:
             continue
         checked += 1
-        y = math.log(spec.s1 / spec.strike)
-        tau = 0.5 * red.sigma_hat_sq * spec.time_remaining
-        routed = spec.s2**2 * (spec.strike / spec.s2) * reduced_exact_u(
-            y, tau, GeneralizedReducedParams(red.k1, red.k2)
-        )
+        red = reduce_contract(spec)
+        routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
         price = quanto_put_exact(spec)
         if price > 1e-10:
             assert price == pytest.approx(routed, rel=1e-10)
@@ -269,9 +250,8 @@ def test_reduced_exact_matches_bs_put_on_random_specs():
     rng = np.random.default_rng(9)
     for _ in range(100):
         spec = random_vanilla(rng)
-        rc = to_dimensionless(spec)
-        params = GeneralizedReducedParams(rc.k, rc.k)
-        routed = spec.strike * reduced_exact_u(rc.x, rc.tau, params)
+        red = reduce_contract(spec)
+        routed = red.scale * reduced_exact_u(red.y, red.tau, red.params)
         assert routed == pytest.approx(bs_put(spec), abs=1e-12)
 
 

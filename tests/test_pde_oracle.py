@@ -15,14 +15,7 @@ from putpricer.pde_oracle import (
     _richardson_at_zero,
     cn_solve,
 )
-from putpricer.transforms import (
-    GeneralizedReducedParams,
-    VanillaOptionSpec,
-    basket_reduced_params,
-    reduce_basket,
-    reduce_quanto,
-    to_dimensionless_arrays,
-)
+from putpricer.transforms import GeneralizedReducedParams, VanillaOptionSpec, reduce_contract
 
 FIG1_PARAMS = GeneralizedReducedParams(0.950625998140567, 0.950625998140567)
 FIG1_TAU = 0.026298460224
@@ -213,17 +206,12 @@ def test_halving_the_richardson_time_steps_moves_its_value_by_under_1e_7(monkeyp
     # half the oracle's steps moves the extrapolated value by at most 3.6e-8,
     # so the time grid is not the limiting error; one halving further it moves
     # by 4.3e-7, on the way to the ~3e-5 gaps of m // 16 steps
-    single = VanillaOptionSpec(spot=40.0, **validation.SECTION5)
-    _, single_tau, k = to_dimensionless_arrays(single)
-    quanto = validation._fig5_quanto()
-    qred = reduce_quanto(quanto)
-    basket = validation._fig3_basket()
-    bred = reduce_basket(basket)
-    bparams = basket_reduced_params(bred, basket.rate)
-    params = GeneralizedReducedParams(np.array([float(k), qred.k1, bparams.k1]),
-                                      np.array([float(k), qred.k2, bparams.k2]))
-    tau = np.array([float(single_tau), 0.5 * qred.sigma_hat_sq * quanto.time_remaining,
-                    0.5 * bred.sigma_hat**2 * basket.time_remaining])
+    specs = (VanillaOptionSpec(spot=40.0, **validation.SECTION5), validation._fig5_quanto(),
+             validation._fig3_basket())
+    reds = [reduce_contract(spec) for spec in specs]
+    params = GeneralizedReducedParams(np.array([red.params.k1 for red in reds]),
+                                      np.array([red.params.k2 for red in reds]))
+    tau = np.array([red.tau for red in reds])
 
     grids = []
 

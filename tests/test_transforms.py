@@ -10,11 +10,10 @@ from putpricer.transforms import (
     QuantoSpec,
     VanillaOptionSpec,
     _libm,
-    basket_reduced_params,
     reduce_basket,
+    reduce_contract,
     reduce_quanto,
     to_dimensionless,
-    to_dimensionless_arrays,
 )
 
 SECTION5 = dict(spot=40.0, strike=40.0, rate=0.05, vol=0.324336, maturity=0.5)
@@ -56,11 +55,11 @@ def test_dimensionless_log_moneyness():
 def test_log_moneyness_is_libm_log_per_element_and_minus_inf_at_zero_ratio():
     # 5e-324 / 40 underflows to 0, which is the zero-spot limit as well
     spots = np.array([[0.0, 1e-310, 40.0], [37.3, 80.0, 5e-324]])
-    x = to_dimensionless_arrays(VanillaOptionSpec(**{**SECTION5, "spot": spots}))[0]
+    x = reduce_contract(VanillaOptionSpec(**{**SECTION5, "spot": spots})).y
     ratios = (spots / 40.0).tolist()
     assert x.tolist() == [[math.log(r) if r > 0.0 else -math.inf for r in row] for row in ratios]
     for spot, value in zip(spots.ravel().tolist(), x.ravel().tolist()):
-        one = to_dimensionless_arrays(VanillaOptionSpec(**{**SECTION5, "spot": spot}))[0]
+        one = reduce_contract(VanillaOptionSpec(**{**SECTION5, "spot": spot})).y
         assert type(one) is np.float64 and one == value
 
 
@@ -137,7 +136,7 @@ def test_basket_two_asset_arithmetic():
     red = reduce_basket(make_basket())
     assert red.sigma_hat**2 == pytest.approx(0.25 * (0.01 + 0.09), rel=1e-14)
     assert red.q_hat == pytest.approx(0.5 * 0.005 + 0.5 * 0.045 - 0.0125, rel=1e-14)
-    assert red.xi == 0.0
+    assert reduce_contract(make_basket()).y == 0.0
 
 
 def test_basket_perfectly_correlated_identical_assets():
@@ -148,10 +147,17 @@ def test_basket_perfectly_correlated_identical_assets():
 
 
 def test_basket_reduced_params_mapping():
-    red = reduce_basket(make_basket())
-    params = basket_reduced_params(red, rate=0.05)
-    assert params.k1 == pytest.approx(2 * (0.05 - 0.0125) / 0.025, rel=1e-13)
-    assert params.k2 == pytest.approx(2 * 0.05 / 0.025, rel=1e-13)
+    red = reduce_contract(make_basket())
+    assert red.params.k1 == pytest.approx(2 * (0.05 - 0.0125) / 0.025, rel=1e-13)
+    assert red.params.k2 == pytest.approx(2 * 0.05 / 0.025, rel=1e-13)
+    assert red.tau == pytest.approx(0.5 * 0.025 * 0.5, rel=1e-15)
+    assert (red.y, red.scale) == (0.0, 40.0)
+
+
+def test_reduce_contract_refuses_a_degenerate_basket_with_the_reduction_message():
+    with pytest.raises(ValueError, match=r"^basket reduction is degenerate: sigma_hat\^2 must "
+                                         r"be positive, got 0\.0$"):
+        reduce_contract(make_basket(covariance=((0.0, 0.0), (0.0, 0.0))))
 
 
 def test_basket_weight_sum_violation():
@@ -199,8 +205,33 @@ def test_quanto_fig5_arithmetic():
     assert red.sigma_hat_sq == pytest.approx(0.04, rel=1e-14)
     assert red.q_hat == pytest.approx(-0.02, rel=1e-13)
     assert red.r_hat == pytest.approx(0.02, rel=1e-13)
-    assert red.k1 == pytest.approx(-1.0, rel=1e-13)
-    assert red.k2 == pytest.approx(1.0, rel=1e-13)
+    params = reduce_contract(QuantoSpec(**FIG5)).params
+    assert params.k1 == pytest.approx(-1.0, rel=1e-13)
+    assert params.k2 == pytest.approx(1.0, rel=1e-13)
+
+
+def test_reduce_contract_quanto_fig5_table():
+    # y = ln(S1/E), tau = sigma_hat^2 (T-t)/2, the pair of reduce_quanto, scale S2^2 (E/S2)
+    spec = QuantoSpec(**{**FIG5, "s1": 30.0, "s2": 1.5})
+    red = reduce_contract(spec)
+    assert red.y == math.log(30.0 / 40.0)
+    assert red.tau == pytest.approx(0.5 * 0.04 * 0.5, rel=1e-13)
+    quanto = reduce_quanto(spec)
+    assert red.params.k1 == 2.0 * quanto.q_hat / quanto.sigma_hat_sq
+    assert red.params.k2 == 2.0 * quanto.r_hat / quanto.sigma_hat_sq
+    assert red.scale == 1.5 * 1.5 * (40.0 / 1.5)
+
+
+def test_reduce_contract_single_table_and_refusals():
+    red = reduce_contract(VanillaOptionSpec(**{**SECTION5, "spot": 80.0}))
+    k = 2 * 0.05 / 0.324336**2
+    assert red.y == math.log(2.0) and red.scale == 40.0
+    assert red.params.k1 == red.params.k2 == pytest.approx(k, rel=1e-15)
+    assert red.tau == 0.5 * 0.324336 * 0.324336 * 0.5
+    with pytest.raises(ValueError, match=r"^vol 1e-200 is too small: vol\^2 underflows to zero$"):
+        reduce_contract(VanillaOptionSpec(**{**SECTION5, "vol": 1e-200}))
+    with pytest.raises(ValueError, match=r"^vol 1e-155 is too small: 2 rate / vol\^2 is not"):
+        reduce_contract(VanillaOptionSpec(**{**SECTION5, "vol": 1e-155}))
 
 
 def test_quanto_zero_fx_vol_collapses():
