@@ -47,11 +47,11 @@ def bs_put(spec: VanillaOptionSpec):
     applies.
     """
     t, expired = _live_time(spec.time_remaining)
+    half_var = 0.5 * spec.vol * spec.vol
+    # past float range d1 and d2 would both be +inf and the price 0, not its limit E e^{-r(T-t)}
+    _require(half_var * t < math.inf, "vol {} is too large: vol^2 (T - t) overflows", spec.vol)
     vol_sqrt_t = spec.vol * np.sqrt(t)
-    d1 = (
-        _log_moneyness(spec.spot, spec.strike)
-        + (spec.rate + 0.5 * spec.vol * spec.vol) * t
-    ) / vol_sqrt_t
+    d1 = (_log_moneyness(spec.spot, spec.strike) + (spec.rate + half_var) * t) / vol_sqrt_t
     d2 = d1 - vol_sqrt_t
     value = spec.strike * _libm(math.exp, -spec.rate * t) * normal_cdf(-d2) - (
         spec.spot * normal_cdf(-d1)

@@ -42,6 +42,7 @@ from .transforms import (
     QuantoSpec,
     VanillaOptionSpec,
     _is_float,
+    _libm,
     _live_time,
     _price_or_payoff,
     _require,
@@ -91,7 +92,8 @@ def _with_coefs(z, *coefs):
 
 # The order-5 factors carry k^5 times coefficients up to ~1e4, so they
 # overflow once |k| nears 1e60: a float power raises OverflowError there, and
-# an array one returns inf or nan without a word.  Such k are refused first.
+# an array one returns inf or nan without a word.  Such k are refused first,
+# and so is a priced contract's tau past the cap (w^6 = tau^3 overflows near 1e102).
 _MAX_COEF = 1e50
 
 
@@ -343,6 +345,8 @@ def _series_price(spec, order):
 
     def live(_):    # tau is the spec's; `_price_or_payoff` replaces the expired, tau = 0
         red = reduce_contract(spec)
+        _require(red.tau <= _MAX_COEF,
+                 "series terms overflow: reduced time tau must not exceed 1e50, got {}", red.tau)
         y, at_zero = red.y, (red.y == -math.inf) & (red.tau > 0.0)
         if single and at_zero.any():
             if order % 2 != 0:
@@ -363,6 +367,8 @@ def price_single_hpm1(spec: VanillaOptionSpec):
     Any field of `spec` may be an array, one contract per element.
     """
     red = reduce_contract(spec)
+    growth = -red.params.k2 * red.tau   # e^{-k tau} = e^{-r(T-t)}: refused where it overflows
+    _libm(math.exp, growth if _is_float(growth) else np.max(growth, initial=0.0))
     return red.scale * hpm1_reduced(red.y, red.tau, red.params.k2)
 
 

@@ -291,11 +291,20 @@ def test_overflowing_discount_factor_exits_2(argv, tmp_path, capsys):
     ["price", "single", "--vol", "1e-200", "--method", "hpm1"],
     ["figure", "1", "--vol", "1e-200"],
     ["price", "basket", "--covariance", "1e-300,0;0,1e-300", "--method", "hpm2"],
+    ["price", "single", "--vol", "1e200", "--method", "hpm2"],
+    ["price", "single", "--vol", "1e150", "--method", "hpm2"],
+    ["price", "basket", "--covariance", "1e300,0;0,1e300", "--method", "hpm2"],
+    ["price", "single", "--vol", "1e200"],
+    ["price", "single", "--rate", "-10", "--vol", "0.3", "--maturity", "100", "--method", "hpm1"],
 ], ids=["vol-underflow-hpm2", "vol-underflow-hpm1", "vol-underflow-figure",
-        "series-overflow-basket"])
+        "series-overflow-basket", "tau-overflow-hpm2", "tau-past-cap-hpm2",
+        "tau-past-cap-basket", "variance-overflow-exact", "growth-overflow-hpm1"])
+@pytest.mark.filterwarnings("error")
 def test_extreme_parameters_fail_closed(argv, tmp_path, capsys):
-    # vol^2 underflows to 0, or the basket's k1 ~ 2e299 overflows the series
-    # coefficients: one error line and exit 2, never a traceback
+    # vol^2 underflows to 0, the basket's k1 ~ 2e299 overflows the series
+    # coefficients, tau ~ 1e299 its powers, vol^2 T the closed form's d1 and
+    # e^{-k tau} = e^{1000} hpm1's factor: one error line and exit 2, never a
+    # warning, a traceback or a nan, 0 or inf price
     if argv[0] == "figure":
         argv = argv + ["--out", str(tmp_path / "f.csv")]
     assert main(argv) == 2

@@ -65,6 +65,26 @@ def test_bs_put_payoff_at_expiry():
         assert bs_put(spec) == max(40.0 - spot, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vol", [1e160, 1e200, 1e300])
+def test_bs_put_refuses_a_variance_past_float_range(vol):
+    # d1 and d2 would both be +inf and the price 0, not its limit E e^{-rT}
+    with pytest.raises(ValueError, match=r"vol .* is too large: vol\^2 \(T - t\) overflows"):
+        bs_put(VanillaOptionSpec(**{**SECTION5, "vol": vol}))
+    # short of the overflow the price reaches that limit
+    limit = 40.0 * math.exp(-0.05 * 0.5)
+    assert bs_put(VanillaOptionSpec(**{**SECTION5, "vol": 1e150})) == pytest.approx(limit,
+                                                                                rel=1e-15)
+
+
+def test_bs_put_refuses_an_array_variance_past_float_range():
+    # numpy's square warns on the overflow before the refusal
+    spec = VanillaOptionSpec(**{**SECTION5, "vol": np.array([0.3, 1e200])})
+    with pytest.raises(ValueError, match="vol 1e\\+200 is too large"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        bs_put(spec)
+
+
 def test_bs_put_section5_regression():
     assert bs_put(VanillaOptionSpec(**SECTION5)) == pytest.approx(
         BS_PUT_SECTION5_ATM, abs=1e-12

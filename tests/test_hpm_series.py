@@ -201,6 +201,34 @@ def test_huge_coordinates_refused():
         phi_term(2, 1e60, params)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("price, spec", [
+    (price_single_hpm2, VanillaOptionSpec(spot=40.0, **{**SECTION5, "vol": 1e200})),
+    (price_single_hpm2, VanillaOptionSpec(spot=40.0, **{**SECTION5, "vol": 1e150})),
+    (price_single_hpm2, VanillaOptionSpec(spot=np.array([30.0, 40.0]),
+                                          **{**SECTION5, "vol": 1e150})),
+    (price_basket_hpm, BasketSpec(spots=[40.0, 40.0], weights=[0.5, 0.5], dividends=[0.0, 0.0],
+                                  covariance=[[1e300, 0.0], [0.0, 1e300]], rate=0.05,
+                                  strike=40.0, maturity=0.5)),
+    (price_quanto_hpm, QuantoSpec(s1=40.0, s2=40.0, sigma1=1e150, sigma2=0.3, rho=1.0, r1=0.03,
+                                  r2=0.05, q=0.0, strike=40.0, maturity=0.5)),
+], ids=["single-vol-1e200", "single-vol-1e150", "single-array", "basket", "quanto"])
+def test_series_refuses_a_reduced_time_past_the_cap(price, spec):
+    # tau ~ 1e299 (inf at vol 1e200) overflowed w^n into a nan price
+    with pytest.raises(ValueError, match="reduced time tau must not exceed 1e50"):
+        price(spec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hpm1_refuses_an_overflowing_growth_factor():
+    # e^{-k tau} = e^{1000}: inf with a RuntimeWarning, now the discount factor's refusal
+    spec = dict(spot=40.0, strike=40.0, vol=0.3, maturity=100.0)
+    with pytest.raises(ValueError, match=r"^exp\(1000\.\d*\) is out of float range$"):
+        price_single_hpm1(VanillaOptionSpec(rate=-10.0, **spec))
+    with pytest.raises(ValueError, match=r"^exp\(1000\.\d*\) is out of float range$"):
+        price_single_hpm1(VanillaOptionSpec(rate=np.array([0.05, -10.0]), **spec))
+
+
 def test_term_bound_message_follows_max_order(monkeypatch):
     import putpricer.hpm_series as hpm
 

@@ -1,5 +1,7 @@
 """CSV bytes of `PriceSurface.write_csv` against Python's own `%.11e`."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,11 @@ def written(tmp_path, table):
     PriceSurface(axis_names=("a",), axes=(table[:, 0],), value_names=names,
                  values=tuple(table[:, 1:].T)).write_csv(path)
     return path.read_bytes().decode("ascii")
+
+
+def format_column(numbers):
+    """The formatter's bytes for one column of rows, NULs dropped as `write_csv` drops them."""
+    return surface._format_fields(numbers, ord("\n")).tobytes().translate(None, b"\0")
 
 
 def body_of(text, columns):
@@ -74,8 +81,7 @@ def test_exponent_correction_keeps_decade_edges_on_the_fast_path(monkeypatch):
                         lambda x, parts=surface._exact_parts: exact.append(x) or parts(x))
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
     numbers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-    out = surface._format_block(numbers.reshape(-1, 1))
-    assert out.decode("ascii") == reference_body(numbers.reshape(-1, 1))
+    assert format_column(numbers).decode("ascii") == reference_body(numbers.reshape(-1, 1))
     assert len(exact) < len(numbers) / 10
 
 
@@ -112,9 +118,9 @@ def test_block_boundaries(tmp_path, rows, columns):
 @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_one_column_blocks(rows):
     # a surface always has an axis and a value column; one column reaches
-    # the block formatter only directly
+    # the field formatter only directly
     table = np.random.default_rng(rows).standard_normal((rows, 1)) * 1e-3
-    out = b"".join(surface._format_block(table[start:start + BLOCK])
+    out = b"".join(format_column(table[start:start + BLOCK, 0])
                    for start in range(0, rows, BLOCK))
     assert out.decode("ascii") == reference_body(table)
 
@@ -162,13 +168,80 @@ def test_non_finite_axis_is_refused():
                      values=([2.0, 3.0],))
 
 
+# axis entries: signed zeros, negatives, subnormals, 1e+-300 and any finite double
+AXIS_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.5, 5e-324, -5e-324, 2.225e-308, 1e300, -1e300, 1e-300,
+                     -1e-300, LARGEST]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(AXIS_ENTRIES, min_size=1, max_size=4),
+       st.lists(AXIS_ENTRIES, min_size=1, max_size=12),
+       st.sampled_from([None, BLOCK + 3]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_two_axis_rows_equal_percent_format(tmp_path_factory, axis1, axis2, length2, seed):
+    # each axis entry is formatted once and gathered into every row that holds
+    # it; an axis 2 longer than a block spreads one axis-1 entry over blocks
+    if length2 is not None:
+        axis2 = np.resize(axis2, length2)
+    rng = np.random.default_rng(seed)
+    shape = (len(axis1), len(axis2))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    values.flat[rng.integers(0, values.size, 3)] = [-0.0, 5e-324, -LARGEST]
+    path = tmp_path_factory.getbasetemp() / "grid.csv"
+    PriceSurface(axis_names=("x", "y"), axes=(axis1, axis2), value_names=("v",),
+                 values=(values,)).write_csv(path)
+    rows = [(a, b, values[i, j]) for i, a in enumerate(np.asarray(axis1, dtype=float).tolist())
+            for j, b in enumerate(np.asarray(axis2, dtype=float).tolist())]
+    # compared line by line, so that a failure reports its first wrong row without a diff
+    # of the whole file
+    expected = "x,y,v\n" + reference_body(rows)
+    assert path.read_bytes().decode("ascii").split("\n") == expected.split("\n")
+
+
+def one_axis_surface(rows):
+    return PriceSurface(axis_names=("a",), axes=(np.arange(rows, dtype=float),),
+                        value_names=("v",), values=(np.full(rows, 0.5),))
+
+
+def test_shorter_csv_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "s.csv"
+    fresh = tmp_path / "fresh.csv"
+    one_axis_surface(3 * BLOCK).write_csv(path)
+    long_size = path.stat().st_size
+    one_axis_surface(5).write_csv(path)
+    one_axis_surface(5).write_csv(fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert fresh.read_bytes().count(b"\n") == 6 and path.stat().st_size < long_size / 100
+
+
+def test_longer_csv_over_a_shorter_file(tmp_path):
+    path = tmp_path / "s.csv"
+    one_axis_surface(5).write_csv(path)
+    one_axis_surface(BLOCK + 1).write_csv(path)
+    assert path.read_bytes().decode("ascii") == "a,v\n" + reference_body(
+        [(float(i), 0.5) for i in range(BLOCK + 1)])
+
+
+def test_devnull_takes_the_rows_without_a_truncate():
+    # ftruncate on a character device fails with EINVAL; only regular files are cut
+    one_axis_surface(10).write_csv(os.devnull)
+
+
 def test_failed_format_leaves_no_file(tmp_path, monkeypatch):
-    def broken(table):
+    def broken(numbers, separator):
         raise RuntimeError("formatter failed")
 
-    monkeypatch.setattr(surface, "_format_block", broken)
+    monkeypatch.setattr(surface, "_format_fields", broken)
     path = tmp_path / "s.csv"
     with pytest.raises(RuntimeError):
         PriceSurface(axis_names=("a",), axes=([1.0],), value_names=("v",),
                      values=([2.0],)).write_csv(path)
     assert not path.exists()
+    # an existing file is not opened, so not cut: it keeps every byte
+    path.write_bytes(b"# earlier\na,v\n" + b"1.0,2.0\n" * 1000)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        one_axis_surface(5).write_csv(path)
+    assert path.read_bytes() == before
