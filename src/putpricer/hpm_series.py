@@ -26,7 +26,10 @@ cancellation between the Gaussian and erfc pieces costs absolute, not
 relative, accuracy.  Only P_n and Q_n change with n, so G and erfc/erfcx
 are evaluated once per point on each side of z = 0 and every term reuses
 them.  One term loop, `_side_terms`, serves both the series sums (summed
-side by side) and the term evaluators (one row per order).
+side by side) and the term evaluators (one row per order).  A side that holds
+one point runs that loop on numpy float64 scalars (its z, w and factors; an
+array k stays a one-element array, for numpy's array power), with the bits
+of that point's lane in an array call.
 """
 
 from __future__ import annotations
@@ -61,22 +64,28 @@ def _sides(z):
     indexes z flattened and combine(p, q) = p G(zs) + q (erf(zs/2) - 1) for
     polynomials evaluated on zs: through G and erfc(z/2) left of 0, through
     exp(-z^2/4) and erfcx(z/2) right of it.  Every term of a sum reuses the
-    factors.
+    factors.  A side of one point has zs, and so its factors, as numpy
+    float64 scalars (`_point`).
     """
     z = z.reshape(-1)
     left = z <= 0.0
     at = left.nonzero()[0]
     if at.size:
-        zl = z[at]
+        zl = _point(z, at)
         gauss = np.exp(-0.25 * zl * zl) * _INV_SQRT_PI
         tail = erfc(0.5 * zl)
         yield at, zl, lambda p, q: p * gauss - q * tail
     at = (~left).nonzero()[0]
     if at.size:
-        zr = z[at]
+        zr = _point(z, at)
         decay = np.exp(-0.25 * zr * zr)
         scaled = erfcx(0.5 * zr)
         yield at, zr, lambda p, q: decay * (p * _INV_SQRT_PI - q * scaled)
+
+
+def _point(values, at):
+    """values[at] of a flat array, or a one-point side's value as a numpy float64 scalar."""
+    return values[at[0]] if at.size == 1 else values[at]
 
 
 def _on_side(coef, at, shape):
@@ -109,8 +118,8 @@ def _side_terms(polys, orders, z, w, *coefs):
                  "series terms overflow: |k1|, |k2| must not exceed 1e50, got {}", coef)
     for at, zs, combine in _sides(z):
         side_coefs = [_on_side(c, at, z.shape) for c in coefs]
-        yield at, _weighted_terms(polys, orders, zs, combine, _on_side(w, at, z.shape),
-                                  side_coefs)
+        ws = w if _is_float(w) else _point(np.broadcast_to(w, z.shape).reshape(-1), at)
+        yield at, _weighted_terms(polys, orders, zs, combine, ws, side_coefs)
 
 
 def _weighted_terms(polys, orders, zs, combine, ws, coefs):
@@ -125,7 +134,8 @@ def _term_rows(polys, orders, z, *coefs):
     z = _with_coefs(z, *coefs)
     rows = np.empty((len(orders), z.size))
     for at, terms in _side_terms(polys, orders, z, 1.0, *coefs):
-        rows[:, at] = list(terms)
+        for row, term in zip(rows, terms):    # a one-point side's term: a scalar or (1,)
+            row[at] = term
     return rows.reshape((len(orders),) + z.shape)
 
 
@@ -282,7 +292,8 @@ def hpm1_reduced(x, tau, k):
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm1_reduced: tau must be nonnegative")
-    value = np.maximum(np.exp(-k * tau_arr) - np.exp(x_arr), 0.0)
+    with np.errstate(invalid="ignore"):     # k tau = 0 * inf is nan, refused below
+        value = np.maximum(np.exp(-k * tau_arr) - np.exp(x_arr), 0.0)
     _require(~np.isnan(value), "hpm1_reduced: NaN input or k * tau = 0 * inf")
     return _result(value)
 

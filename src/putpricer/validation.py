@@ -198,10 +198,16 @@ def check_cn_cross_validation(profile="default"):
     # tolerance needs
     bound = _tol(1e-6, profile)
     n = 400 if profile == "strict" else 200
+    params, tau, exact = _cn_contracts()
+    gaps = np.abs(_richardson_at_zero(params, tau, n) - exact)
+    return [CheckResult(f"cn-vs-exact-{name}", gap, f"<= {bound:.1e}", gap <= bound)
+            for name, gap in (("single", float(gaps[0])), ("random", float(gaps[1:6].max())),
+                              ("quanto", float(gaps[6])), ("basket", float(gaps[7])))]
 
-    # eight contracts, one solve per grid: the Section-5 put, five random
-    # at-the-money ones (a row of draws each), the figure-5 quanto and the
-    # figure-3 basket, as (k1, k2, tau, exact u at y = 0)
+
+def _cn_contracts():
+    """(params, tau, exact u at y = 0) of the CN check's eight contracts: the Section-5 put,
+    five random at-the-money ones, the figure-5 quanto and the figure-3 basket."""
     fields = ("strike", "rate", "vol", "maturity")
     lo, hi = np.array([(20.0, 0.01, 0.15, 0.25), (80.0, 0.1, 0.5, 1.5)])
     drawn = _uniform(np.random.default_rng(31).random((5, len(fields))), lo, hi)
@@ -215,10 +221,7 @@ def check_cn_cross_validation(profile="default"):
                                        price(spec) / red.scale))
 
     k1, k2, tau, exact = np.concatenate(contracts, axis=1)
-    gaps = np.abs(_richardson_at_zero(GeneralizedReducedParams(k1, k2), tau, n) - exact)
-    return [CheckResult(f"cn-vs-exact-{name}", gap, f"<= {bound:.1e}", gap <= bound)
-            for name, gap in (("single", float(gaps[0])), ("random", float(gaps[1:6].max())),
-                              ("quanto", float(gaps[6])), ("basket", float(gaps[7])))]
+    return GeneralizedReducedParams(k1, k2), tau, exact
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +395,16 @@ def _normal_cdf_quadrature(v, nodes, weights):
     return 0.5 + total / math.sqrt(2.0 * math.pi)
 
 
-_MACLAURIN_DENOMINATORS = [math.factorial(n) * (2 * n + 1) for n in range(30)]
+_MACLAURIN_POWERS = np.arange(1, 60, 2)      # 2n + 1 for n < 30
+_MACLAURIN_DENOMINATORS = np.array([(-1) ** n * math.factorial(n) * (2 * n + 1)
+                                    for n in range(30)], dtype=float)
 
 
 def _erf_maclaurin(x):
-    parts = [(-1) ** n * x ** (2 * n + 1) / d for n, d in enumerate(_MACLAURIN_DENOMINATORS)]
-    return 2.0 / math.sqrt(math.pi) * math.fsum(parts)
+    # erf at each element of x by 30 Maclaurin terms: the table by numpy, each row by fsum
+    rows = np.power.outer(np.atleast_1d(x), _MACLAURIN_POWERS) / _MACLAURIN_DENOMINATORS
+    sums = np.array([math.fsum(row) for row in rows.tolist()]).reshape(np.shape(x))
+    return 2.0 / math.sqrt(math.pi) * sums
 
 
 def check_special_functions(profile="default"):
@@ -411,7 +418,7 @@ def check_special_functions(profile="default"):
     bound_n = _tol(1e-15, profile, floor=5e-16)
 
     xs = np.linspace(-1.0, 1.0, 201)
-    worst_e = float(np.abs(erf(xs) - [_erf_maclaurin(x) for x in xs.tolist()]).max())
+    worst_e = float(np.abs(erf(xs) - _erf_maclaurin(xs)).max())
     bound_e = _tol(1e-14, profile)
     return [
         CheckResult("normal-cdf-quadrature", worst_n, f"<= {bound_n:.1e}",

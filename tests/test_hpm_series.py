@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from putpricer import hpm_series as hpm
 from putpricer.exact_pricing import bs_put, reduced_exact_u
@@ -419,3 +420,178 @@ def test_quanto_hpm_payoff_and_homogeneity():
     one = price_quanto_hpm(QuantoSpec(s2=1.5, **base))
     two = price_quanto_hpm(QuantoSpec(s2=3.0, **base))
     assert two == pytest.approx(2.0 * one, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one-point sides: the term loop on numpy scalars, with an array lane's bits
+# ---------------------------------------------------------------------------
+
+# a one-point argument taken from element i of an array: a float (a basket's
+# spot vector as a list), a 0-d array (a basket's as its row) and shape (1,)
+ONE_POINT_FORMS = {
+    "float": lambda a, i: a[i].tolist(),
+    "0-d": lambda a, i: np.array(a[i]),
+    "(1,)": lambda a, i: a[i:i + 1],
+}
+coordinate = st.one_of(st.sampled_from([-0.0, 0.0, -1e-300, 1e-300]), st.floats(-12.0, 12.0))
+k_value = st.floats(-2.0, 3.0)
+
+
+def assert_lane(one, many, i, form):
+    """`one`, a call on element i in `form`, is element i of `many` bit for bit, and
+    follows the return rule: a float for a float or 0-d input, shape (1,) otherwise."""
+    if form == "(1,)":
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+    else:
+        assert isinstance(one, float)
+    assert float(np.ravel(one)[0]).hex() == float(np.ravel(many)[i]).hex(), (i, form)
+
+
+def k_forms(values, array_k):
+    """k as the array call and the one-point calls take it: an array k on one
+    point stays an array (0-d or (1,)), since its powers are numpy's array
+    power; a float k is one float everywhere."""
+    if not array_k:
+        return values[0], lambda i, form: values[0]
+    k = np.array(values)
+    return k, lambda i, form: np.array(k[i]) if form != "(1,)" else k[i:i + 1]
+
+
+def draws(data, size, elements):
+    return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+
+@given(data=st.data(), size=st.integers(2, 6), order=st.integers(1, MAX_ORDER),
+       array_k=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_one_point_reduced_sum_is_a_lane_of_the_array_call(data, size, order, array_k):
+    # each side of z = 0 holds one point or several, -0.0 and tau = 0 included
+    y = draws(data, size, coordinate)
+    tau = draws(data, size, st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    k1, k1_at = k_forms(draws(data, size, k_value).tolist(), array_k)
+    k2, k2_at = k_forms(draws(data, size, k_value).tolist(), array_k)
+    many = hpm_reduced_sum(y, tau, GeneralizedReducedParams(k1, k2), order)
+    for i in range(size):
+        for form, pick in ONE_POINT_FORMS.items():
+            params = GeneralizedReducedParams(k1_at(i, form), k2_at(i, form))
+            assert_lane(hpm_reduced_sum(pick(y, i), pick(tau, i), params, order), many, i, form)
+
+
+@given(data=st.data(), size=st.integers(2, 6), n=st.integers(0, MAX_ORDER - 1),
+       array_k=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_one_point_terms_are_lanes_of_the_array_call(data, size, n, array_k):
+    z = draws(data, size, coordinate)
+    k1, k1_at = k_forms(draws(data, size, k_value).tolist(), array_k)
+    k2, k2_at = k_forms(draws(data, size, k_value).tolist(), array_k)
+    phi = phi_term(n, z, GeneralizedReducedParams(k1, k2))
+    single = single_asset_term(n, z, k1)
+    for i in range(size):
+        for form, pick in ONE_POINT_FORMS.items():
+            params = GeneralizedReducedParams(k1_at(i, form), k2_at(i, form))
+            assert_lane(phi_term(n, pick(z, i), params), phi, i, form)
+            assert_lane(single_asset_term(n, pick(z, i), k1_at(i, form)), single, i, form)
+
+
+@pytest.mark.parametrize("array_k", [False, True], ids=["float-k", "array-k"])
+def test_one_point_calls_are_lanes_on_random_points(array_k):
+    # the drawn examples favour round values, which few routes round
+    # differently; 64 random points on both sides of z = 0 do not, and numpy's
+    # AVX-512 power rounds ~3 % of k^3 .. k^5 unlike the scalar one
+    rng = np.random.default_rng(2029)
+    y, tau = rng.uniform(-3.0, 3.0, 64), rng.uniform(1e-3, 2.0, 64)
+    k1, k1_at = k_forms(rng.uniform(-2.0, 3.0, 64).tolist(), array_k)
+    k2, k2_at = k_forms(rng.uniform(-2.0, 3.0, 64).tolist(), array_k)
+    params = GeneralizedReducedParams(k1, k2)
+    sums = [hpm_reduced_sum(y, tau, params, order) for order in range(1, MAX_ORDER + 1)]
+    terms = [phi_term(n, y, params) for n in range(MAX_ORDER)]
+    for i in range(y.size):
+        for form, pick in ONE_POINT_FORMS.items():
+            at = GeneralizedReducedParams(k1_at(i, form), k2_at(i, form))
+            for n in range(MAX_ORDER):
+                assert_lane(hpm_reduced_sum(pick(y, i), pick(tau, i), at, n + 1), sums[n], i, form)
+                assert_lane(phi_term(n, pick(y, i), at), terms[n], i, form)
+
+
+def _single_fields(data, size, array_k):
+    strike = data.draw(st.floats(20.0, 120.0))
+    spot = strike * np.exp(draws(data, size, st.floats(-0.5, 0.5)))
+    rate = draws(data, size, st.floats(0.0, 0.1)) if array_k else data.draw(st.floats(0.0, 0.1))
+    return dict(spot=spot, strike=strike, rate=rate, vol=data.draw(st.floats(0.1, 0.6)),
+                maturity=data.draw(st.floats(0.05, 2.0)))
+
+
+def _basket_fields(data, size, array_k):
+    single = _single_fields(data, size, array_k)
+    spot2 = single["strike"] * np.exp(draws(data, size, st.floats(-0.5, 0.5)))
+    s1, s2, c = (data.draw(st.floats(lo, hi)) for lo, hi in ((0.1, 0.5), (0.1, 0.5), (-0.8, 0.9)))
+    return dict(spots=np.stack([single["spot"], spot2], axis=-1), weights=[0.4, 0.6],
+                dividends=[0.01, 0.0], covariance=[[s1 * s1, c * s1 * s2], [c * s1 * s2, s2 * s2]],
+                rate=single["rate"], strike=single["strike"], maturity=single["maturity"])
+
+
+def _quanto_fields(data, size, array_k):
+    single = _single_fields(data, size, array_k)
+    return dict(s1=single["spot"], s2=data.draw(st.floats(0.5, 3.0)), sigma1=0.2, sigma2=0.3,
+                rho=0.4, r1=0.03, r2=single["rate"], q=0.01, strike=single["strike"],
+                maturity=single["maturity"])
+
+
+SERIES_PRICERS = {
+    "price_single_hpm2": (price_single_hpm2, VanillaOptionSpec, _single_fields),
+    "price_basket_hpm": (price_basket_hpm, BasketSpec, _basket_fields),
+    "price_quanto_hpm": (price_quanto_hpm, QuantoSpec, _quanto_fields),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_PRICERS))
+@given(data=st.data(), size=st.integers(2, 5), order=st.integers(1, MAX_ORDER),
+       array_k=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_one_point_series_price_is_a_lane_of_the_array_call(name, data, size, order, array_k):
+    # the spots, and with array k the rates, vary by contract; a one-point
+    # contract takes its fields in one form
+    price, spec_cls, fields = SERIES_PRICERS[name]
+    values = fields(data, size, array_k)
+    many = price(spec_cls(**values), order)
+    varying = [k for k, v in values.items() if isinstance(v, np.ndarray)]
+    for i in range(size):
+        for form, pick in ONE_POINT_FORMS.items():
+            one = spec_cls(**{**values, **{k: pick(values[k], i) for k in varying}})
+            assert_lane(price(one, order), many, i, form)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_one_point_spot_zero_is_a_lane_of_the_array_call(order):
+    # at spot 0 before expiry an even order clamps to 0 and an odd one raises,
+    # for one point as for an array holding it
+    spots = np.array([0.0, 35.0, 45.0])
+    spec = VanillaOptionSpec(spot=spots, **SECTION5)
+    if order % 2:
+        for one_spot in (0.0, np.array(0.0), spots[:1], spots):
+            with pytest.raises(ValueError, match="unbounded at spot 0"):
+                price_single_hpm2(VanillaOptionSpec(spot=one_spot, **SECTION5), order)
+        return
+    many = price_single_hpm2(spec, order)
+    assert many[0] == 0.0 and (many[1:] > 0.0).all()
+    for form, pick in ONE_POINT_FORMS.items():
+        assert_lane(price_single_hpm2(VanillaOptionSpec(spot=pick(spots, 0), **SECTION5), order),
+                    many, 0, form)
+
+
+@pytest.mark.parametrize("z", [[-1.5, 2.5], [-0.0, 0.7], [-3.0, 0.0, 4.0]])
+@pytest.mark.parametrize("array_k", [False, True], ids=["float-k", "array-k"])
+def test_term_rows_with_one_point_sides(z, array_k):
+    # every side holds one point, or one side several and the other one: the
+    # rows equal one term call per order, and each column the rows of its point
+    z = np.array(z)
+    k1, k2 = (np.full(z.shape, k) if array_k else k for k in (0.8, -0.3))
+    orders = range(MAX_ORDER)
+    rows = hpm._term_rows(hpm._phi_polys, orders, z, k1, k2)
+    assert rows.shape == (MAX_ORDER,) + z.shape
+    for n in orders:
+        assert np.array_equal(rows[n], phi_term(n, z, GeneralizedReducedParams(k1, k2)))
+    for i in range(z.size):
+        k_at = [k if not array_k else k[i:i + 1] for k in (k1, k2)]
+        column = hpm._term_rows(hpm._phi_polys, orders, z[i:i + 1], *k_at)
+        assert [v.hex() for v in column.ravel().tolist()] == [v.hex() for v in rows[:, i].tolist()]
