@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .special_functions import SQRT_TWO, _blockwise, _result, erfcx, normal_cdf
+from .special_functions import SQRT_TWO, _blockwise, _quiet, _result, erfcx, normal_cdf
 from .transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -47,7 +47,8 @@ def bs_put(spec: VanillaOptionSpec):
     applies.
     """
     t, expired = _live_time(spec.time_remaining)
-    half_var = 0.5 * spec.vol * spec.vol
+    with _quiet(spec.vol):      # an array vol past float range: refused below, unwarned
+        half_var = 0.5 * spec.vol * spec.vol
     # past float range d1 and d2 would both be +inf and the price 0, not its limit E e^{-r(T-t)}
     _require(half_var * t < math.inf, "vol {} is too large: vol^2 (T - t) overflows", spec.vol)
     vol_sqrt_t = spec.vol * np.sqrt(t)

@@ -27,9 +27,9 @@ relative, accuracy.  Only P_n and Q_n change with n, so G and erfc/erfcx
 are evaluated once per point on each side of z = 0 and every term reuses
 them.  One term loop, `_side_terms`, serves both the series sums (summed
 side by side) and the term evaluators (one row per order).  A side that holds
-one point runs that loop on numpy float64 scalars (its z, w and factors; an
-array k stays a one-element array, for numpy's array power), with the bits
-of that point's lane in an array call.
+one point runs that loop on Python floats (its z, w and factors; an array k
+stays a one-element array, for numpy's array power), with the bits of that
+point's lane in an array call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .special_functions import SQRT_PI, _blockwise, _result, erfc, erfcx
+from .special_functions import SQRT_PI, _blockwise, _into, _quiet, _result, erfc, erfcx
 from .transforms import (
     BasketSpec,
     GeneralizedReducedParams,
@@ -64,28 +64,30 @@ def _sides(z):
     indexes z flattened and combine(p, q) = p G(zs) + q (erf(zs/2) - 1) for
     polynomials evaluated on zs: through G and erfc(z/2) left of 0, through
     exp(-z^2/4) and erfcx(z/2) right of it.  Every term of a sum reuses the
-    factors.  A side of one point has zs, and so its factors, as numpy
-    float64 scalars (`_point`).
+    factors.  A side of one point has zs, and so its factors, as Python
+    floats (`_point`; np.exp through `_into`, so each keeps the bits of its lane).
     """
     z = z.reshape(-1)
     left = z <= 0.0
     at = left.nonzero()[0]
     if at.size:
         zl = _point(z, at)
-        gauss = np.exp(-0.25 * zl * zl) * _INV_SQRT_PI
+        gauss = -0.25 * zl * zl
+        gauss = _into(np.exp, gauss, gauss) * _INV_SQRT_PI
         tail = erfc(0.5 * zl)
         yield at, zl, lambda p, q: p * gauss - q * tail
     at = (~left).nonzero()[0]
     if at.size:
         zr = _point(z, at)
-        decay = np.exp(-0.25 * zr * zr)
+        decay = -0.25 * zr * zr
+        decay = _into(np.exp, decay, decay)
         scaled = erfcx(0.5 * zr)
         yield at, zr, lambda p, q: decay * (p * _INV_SQRT_PI - q * scaled)
 
 
 def _point(values, at):
-    """values[at] of a flat array, or a one-point side's value as a numpy float64 scalar."""
-    return values[at[0]] if at.size == 1 else values[at]
+    """values[at] of a flat array, or a one-point side's value as a Python float."""
+    return values.item(at[0]) if at.size == 1 else values[at]
 
 
 def _on_side(coef, at, shape):
@@ -118,7 +120,7 @@ def _side_terms(polys, orders, z, w, *coefs):
                  "series terms overflow: |k1|, |k2| must not exceed 1e50, got {}", coef)
     for at, zs, combine in _sides(z):
         side_coefs = [_on_side(c, at, z.shape) for c in coefs]
-        ws = w if _is_float(w) else _point(np.broadcast_to(w, z.shape).reshape(-1), at)
+        ws = float(w) if _is_float(w) else _point(np.broadcast_to(w, z.shape).reshape(-1), at)
         yield at, _weighted_terms(polys, orders, zs, combine, ws, side_coefs)
 
 
@@ -155,7 +157,7 @@ def _series(z, w, order, k1, k2):
 
 def _phi_polys(n, z, k1, k2):
     if n == 0:
-        return np.ones_like(z), 0.5 * z
+        return 1.0 if _is_float(z) else np.ones_like(z), 0.5 * z
     z2 = z * z
     if n == 1:
         return 0.5 * z, 0.25 * (z2 + 2.0 * k1)
@@ -204,7 +206,7 @@ def _phi_polys(n, z, k1, k2):
 
 def _single_polys(n, z, k):
     if n == 0:
-        return np.ones_like(z), 0.5 * z
+        return 1.0 if _is_float(z) else np.ones_like(z), 0.5 * z
     z2 = z * z
     if n == 1:
         return 0.5 * z, 0.25 * (z2 + 2.0 * k)
@@ -265,7 +267,7 @@ def _term(name, polys, n, value, *coefs):
     """f_n(value) of one family: the one-order case of `_term_rows`, over the broadcast shape."""
     z = _check_term_args(n, value, name)
     shape = np.broadcast_shapes(np.shape(value), *map(np.shape, coefs))
-    return _result(_term_rows(polys, (n,), z, *coefs)[0], shape)
+    return _result(_term_rows(polys, (n,), z, *coefs)[0].reshape(shape))
 
 
 def phi_term(n, xi, params: GeneralizedReducedParams):
@@ -309,16 +311,20 @@ def hpm_reduced_sum(y, tau, params: GeneralizedReducedParams, order: int = MAX_O
     """Smoothed series value v(y, tau) = sqrt(tau) sum_{n<order} f_n(y/sqrt(tau)) tau^{n/2}.
 
     `y`, `tau` and array `params.k1`, `params.k2` broadcast against each other.  Returns the
-    raw (unclamped) partial sum; price-level callers clamp.  Where tau = 0 the payoff
-    max(1 - e^y, 0) applies directly.  Over 16,384 elements it runs in `_blockwise` blocks:
-    the same bits, in about the output's memory plus one block's.
+    raw (unclamped) partial sum, refusing a non-finite one; price-level callers clamp.  Where
+    tau = 0 the payoff max(1 - e^y, 0) applies directly.  Over 16,384 elements it runs in
+    `_blockwise` blocks: the same bits, in about the output's memory plus one block's.
     """
     _check_order(order)
     y_arr = np.asarray(y, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
     if (tau_arr < 0).any():
         raise ValueError("hpm_reduced_sum: tau must be nonnegative")
-    return _result(_blockwise(_reduced_sum, y_arr, tau_arr, params.k1, params.k2, order))
+    with _quiet(y, tau, params.k1, params.k2):  # a call on floats sums Python floats
+        total = _result(_blockwise(_reduced_sum, y_arr, tau_arr, params.k1, params.k2, order))
+    _require(math.isfinite(total) if _is_float(total) else np.isfinite(total),
+             "hpm_reduced_sum: the series sum is not finite at y = {}, tau = {}", y_arr, tau_arr)
+    return total
 
 
 def _reduced_sum(y_arr, tau_arr, k1, k2, order):
@@ -378,7 +384,8 @@ def price_single_hpm1(spec: VanillaOptionSpec):
     Any field of `spec` may be an array, one contract per element.
     """
     red = reduce_contract(spec)
-    growth = -red.params.k2 * red.tau   # e^{-k tau} = e^{-r(T-t)}: refused where it overflows
+    with _quiet(red.params.k2, red.tau):    # k tau = 0 * inf is nan, refused by hpm1_reduced
+        growth = -red.params.k2 * red.tau   # e^{-k tau} = e^{-r(T-t)}: refused where it overflows
     _libm(math.exp, growth if _is_float(growth) else np.max(growth, initial=0.0))
     return red.scale * hpm1_reduced(red.y, red.tau, red.params.k2)
 

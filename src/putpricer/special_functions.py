@@ -8,12 +8,13 @@ beyond, where +-inf lands), gathers each non-empty range once by integer
 index, computes its final value at |x| there and scatters it back once;
 one reflection over the negative elements then gives the value at x.  A
 one-element input takes a scalar route: its range picked by comparison, the
-same formulas on a numpy float64, and an array lane's bits under either exp
+same formulas on a Python float, and an array lane's bits under either exp
 dispatch (np.exp, never math.exp).  Everything here is pure and stateless.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 
@@ -52,23 +53,19 @@ _FAR_RATIO = ((_P[5],) + _P[:5], (1.0,) + _Q)
 _OPERATOR = {np.divide: operator.truediv, np.subtract: operator.sub, np.negative: operator.neg}
 
 
-def _as_array(x, name):
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError(f"{name}: NaN input")
-    return arr
-
-
-def _result(out, shape=None):
+def _result(out):
     """The return rule of every evaluator: a Python float where the result's
-    shape is (), the ndarray otherwise.
-
-    `shape` (the broadcast shape of the inputs) undoes an `np.atleast_1d`
-    promotion inside the body.
-    """
-    if shape is not None:
-        out = out.reshape(shape)
+    shape is (), the ndarray otherwise."""
     return out if getattr(out, "ndim", 0) else float(out)
+
+
+def _quiet(*values):
+    # np.errstate where a value is not a float: numpy would warn of an array's inf or nan
+    # before the refusal naming it; Python floats never warn (a numpy float64 still does)
+    for value in values:
+        if not isinstance(value, (float, int)):
+            return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
 
 
 _BLOCK = 16384   # 128 KB per float64 temporary, glibc's default mmap threshold
@@ -99,11 +96,11 @@ def _blockwise(body, *args):
 
 
 def _into(ufunc, out, *args):
-    # ufunc(*args) written over `out` where that is an array; a new scalar otherwise,
+    # ufunc(*args) written over `out` where that is an array; a new Python float otherwise,
     # by the operator where there is one, ~10x cheaper than a ufunc call on scalars
     if type(out) is np.ndarray:
         return ufunc(*args, out=out)
-    return _OPERATOR.get(ufunc, ufunc)(*args)
+    return _OPERATOR[ufunc](*args) if ufunc in _OPERATOR else float(ufunc(*args))
 
 
 def _horner(x, coefs):
@@ -119,7 +116,7 @@ def _horner(x, coefs):
 def _exp_neg_sq(x):
     # exp(-x^2) for x >= 0, split so the rounding of x*x does not contaminate
     # the relative error at large x; saturated at 28, where it is 0 already
-    x = np.minimum(x, 28.0)
+    x = min(x, 28.0) if type(x) is float else np.minimum(x, 28.0)
     ysq = 16.0 * x
     ysq = _into(np.trunc, ysq, ysq)
     ysq /= 16.0                     # x rounded down to a multiple of 1/16
@@ -182,13 +179,17 @@ def _by_range(x, name, small, scaled, reflect):
     r = erfcx(a); reflect(x, v) maps the value v at |x| to the one at x
     where x carries a minus sign.
     """
-    arr = _as_array(x, name)
-    if arr.size == 1:               # one element: its range by comparison, on a scalar
-        v = arr.ravel()[0]
+    arr = np.asarray(x, dtype=float)
+    one = arr.size == 1
+    if math.isnan(arr.item()) if one else np.isnan(arr).any():
+        raise ValueError(f"{name}: NaN input")
+    if one:                         # one element: its range by comparison, on a Python float
+        v = arr.item()
         a = abs(v)
         out = small(a) if a <= _SMALL_MAX else next(
             scaled(a, f(a)) for edge, f in _SCALED if a <= edge)
-        return _result(reflect(v, out) if math.copysign(1.0, v) < 0 else out, arr.shape)
+        out = reflect(v, out) if math.copysign(1.0, v) < 0 else out
+        return float(out) if arr.ndim == 0 else np.full(arr.shape, out)
     flat = arr.ravel()
     a = np.abs(flat)
     out = np.empty_like(a)
@@ -206,7 +207,7 @@ def _by_range(x, name, small, scaled, reflect):
     at = np.signbit(flat).nonzero()[0]     # the sign bit, so erf(-0.0) stays -0.0
     if at.size:
         out[at] = reflect(flat[at], out[at])
-    return _result(out, arr.shape)
+    return _result(out.reshape(arr.shape))
 
 
 def _erfc_small(a):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .special_functions import _result
+from .special_functions import _quiet, _result
 
 
 def _is_float(value):
@@ -396,13 +396,14 @@ def reduce_contract(spec) -> ReducedContract:
         scale = s2 * s2 * (spec.strike / s2)   # the bits of the reduced strike E/S2 times S2^2
         return ReducedContract(_log_moneyness(spec.s1, spec.strike),
                                0.5 * red.sigma_hat_sq * spec.time_remaining, params, scale)
-    vol_sq = spec.vol * spec.vol
+    with _quiet(spec.vol, spec.time_remaining):  # past float range: refused by its pricer
+        vol_sq = spec.vol * spec.vol
+        tau = 0.5 * spec.vol * spec.vol * spec.time_remaining
     _require(vol_sq > 0.0, "vol {} is too small: vol^2 underflows to zero", spec.vol)
     k = 2.0 * spec.rate / vol_sq
     _require(math.isfinite(k) if _is_float(k) else np.isfinite(k),
              "vol {} is too small: 2 rate / vol^2 is not finite", spec.vol)
-    return ReducedContract(_log_moneyness(spec.spot, spec.strike),
-                           0.5 * spec.vol * spec.vol * spec.time_remaining,
+    return ReducedContract(_log_moneyness(spec.spot, spec.strike), tau,
                            GeneralizedReducedParams(k1=k, k2=k), spec.strike)
 
 

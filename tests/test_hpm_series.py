@@ -221,6 +221,33 @@ def test_series_refuses_a_reduced_time_past_the_cap(price, spec):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y, tau", [
+    (-1e74, 1e48),
+    (np.array([-1e74]), np.array([1e48])),
+    (np.array([0.3, -1e74, -5e73, 0.0]), np.array([0.5, 1e48, 1e48, 0.0])),
+], ids=["one-point", "shape-(1,)", "array"])
+def test_reduced_sum_refuses_a_non_finite_sum(y, tau):
+    # z = -1e50 is within the coordinate cap, but the order-5 term's z^6 times w^6 = 1e144
+    # overflows: refused without a warning, on Python floats and on arrays alike
+    with pytest.raises(ValueError, match=r"not finite at y = -1e\+74, tau = 1e\+48$"):
+        hpm_reduced_sum(y, tau, GeneralizedReducedParams(1.5, 0.5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vol", [1e200, np.array([1e200]), np.array([0.3, 1e200])],
+                         ids=["float", "shape-(1,)", "array"])
+@pytest.mark.parametrize("price, match", [
+    (price_single_hpm1, r"k \* tau = 0 \* inf"),
+    (price_single_hpm2, "reduced time tau must not exceed 1e50"),
+])
+def test_an_overflowing_vol_is_refused_unwarned(vol, price, match):
+    # an array vol's square overflows without numpy's warning, so the refusal that a
+    # float vol meets comes first for either field form (bs_put's: test_exact_pricing)
+    with pytest.raises(ValueError, match=match):
+        price(VanillaOptionSpec(spot=40.0, strike=45.0, rate=0.0, vol=vol, maturity=0.5))
+
+
+@pytest.mark.filterwarnings("error")
 def test_hpm1_refuses_an_overflowing_growth_factor():
     # e^{-k tau} = e^{1000}: inf with a RuntimeWarning, now the discount factor's refusal
     spec = dict(spot=40.0, strike=40.0, vol=0.3, maturity=100.0)
@@ -423,7 +450,7 @@ def test_quanto_hpm_payoff_and_homogeneity():
 
 
 # ---------------------------------------------------------------------------
-# one-point sides: the term loop on numpy scalars, with an array lane's bits
+# one-point sides: the term loop on Python floats, with an array lane's bits
 # ---------------------------------------------------------------------------
 
 # a one-point argument taken from element i of an array: a float (a basket's
@@ -437,14 +464,19 @@ coordinate = st.one_of(st.sampled_from([-0.0, 0.0, -1e-300, 1e-300]), st.floats(
 k_value = st.floats(-2.0, 3.0)
 
 
-def assert_lane(one, many, i, form):
-    """`one`, a call on element i in `form`, is element i of `many` bit for bit, and
-    follows the return rule: a float for a float or 0-d input, shape (1,) otherwise."""
+def assert_lane(one, many, i, form, within=None):
+    """`one`, a call on element i in `form`, is element i of `many` bit for bit (or, where
+    `within` is given, to that absolute bound), and follows the return rule: a float for a
+    float or 0-d input, shape (1,) otherwise."""
     if form == "(1,)":
         assert isinstance(one, np.ndarray) and one.shape == (1,)
     else:
         assert isinstance(one, float)
-    assert float(np.ravel(one)[0]).hex() == float(np.ravel(many)[i]).hex(), (i, form)
+    value, lane = float(np.ravel(one)[0]), float(np.ravel(many)[i])
+    if within is None:
+        assert value.hex() == lane.hex(), (i, form)
+    else:
+        assert abs(value - lane) <= within, (i, form, value.hex(), lane.hex())
 
 
 def k_forms(values, array_k):
@@ -558,7 +590,30 @@ def test_one_point_series_price_is_a_lane_of_the_array_call(name, data, size, or
     for i in range(size):
         for form, pick in ONE_POINT_FORMS.items():
             one = spec_cls(**{**values, **{k: pick(values[k], i) for k in varying}})
-            assert_lane(price(one, order), many, i, form)
+            assert_lane(price(one, order), many, i, form, _lane_bound(values, array_k, form))
+
+
+def _lane_bound(values, array_k, form):
+    """None (bit for bit) where the one-point contract's k has the array call's form;
+    otherwise README's bound, 1e-14 of the price scale: a float or 0-d rate makes a scalar
+    k, whose k^3 .. k^5 come from C pow, while the array call's lane uses numpy's array power."""
+    if not array_k or form == "(1,)":
+        return None
+    return 1e-14 * values["strike"] * values.get("s2", 1.0)
+
+
+def test_one_point_price_with_a_scalar_k_is_near_its_array_lane():
+    # the contract where a scalar k's C pow and the array power round differently under
+    # AVX-512 (the lane 0x1.5c2b5096d4b3dp-9, the scalar call ...40p-9)
+    values = dict(spot=20.0 * np.exp(np.array([0.0, 0.125])), strike=20.0,
+                  rate=np.array([0.0, 0.09327594332974976]), vol=0.1, maturity=0.5)
+    many = price_single_hpm2(VanillaOptionSpec(**values), 4)
+    for i in range(2):
+        for form, pick in ONE_POINT_FORMS.items():
+            one = VanillaOptionSpec(**{**values, "spot": pick(values["spot"], i),
+                                       "rate": pick(values["rate"], i)})
+            assert_lane(price_single_hpm2(one, 4), many, i, form,
+                        _lane_bound(values, True, form))
 
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
